@@ -32,7 +32,6 @@ from ..packing import (
     FFBinPacking,
     LoopCustomBinPacking,
     PackingAlgorithm,
-    WarmStart,
     get_packer,
 )
 from ..selection import GreedySelectPairs, RandomSelectPairs, SelectionAlgorithm, get_selector
@@ -53,10 +52,6 @@ class MCSSSolution:
     selector_name: str
     packer_name: str
     validation: ValidationReport
-    #: Warm-start handle for re-packing this selection under other
-    #: packer options (set only when the solve was asked to emit one;
-    #: see :meth:`MCSSSolver.solve_with_selection`).
-    warm_start: Optional[WarmStart] = None
 
     @property
     def total_seconds(self) -> float:
@@ -196,8 +191,6 @@ class MCSSSolver:
         problem: MCSSProblem,
         selection: PairSelection,
         selection_seconds: float = 0.0,
-        warm_start: Optional[WarmStart] = None,
-        emit_warm_start: bool = False,
     ) -> MCSSSolution:
         """Run Stage 2 (and validation) on a precomputed Stage-1 selection.
 
@@ -209,23 +202,9 @@ class MCSSSolver:
         (validation will reject an insufficient one).
         ``selection_seconds`` is recorded in the returned solution so
         shared-selection sweeps still report a Stage-1 time.
-
-        ``warm_start`` seeds Stage 2 from a prior traced pack of the
-        same (problem, selection) -- bit-exact with a cold pack, see
-        :meth:`repro.packing.PackingAlgorithm.pack_from` -- and
-        ``emit_warm_start=True`` asks for a handle back on
-        ``solution.warm_start``, so packer sweeps can chain.  Packers
-        without warm-start support accept both and pack cold.
         """
         t1 = time.perf_counter()
-        if warm_start is not None:
-            placement, handle = self.packer.pack_from(
-                problem, selection, warm_start, emit_trace=emit_warm_start
-            )
-        elif emit_warm_start:
-            placement, handle = self.packer.pack_traced(problem, selection)
-        else:
-            placement, handle = self.packer.pack(problem, selection), None
+        placement = self.packer.pack(problem, selection)
         t2 = time.perf_counter()
 
         report = validate_placement(problem, placement)
@@ -242,7 +221,6 @@ class MCSSSolver:
             selector_name=self.selector.name,
             packer_name=self.packer.name,
             validation=report,
-            warm_start=handle if emit_warm_start else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

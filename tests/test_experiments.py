@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bounds import lower_bound
+from repro.core import MCSSProblem
 from repro.experiments import (
     FIGURES,
     ExperimentScale,
     LADDER_VARIANTS,
+    LadderCell,
     PAPER_TAUS,
     calibrate_fraction,
     describe_figures,
@@ -23,6 +26,8 @@ from repro.experiments import (
 )
 from repro.experiments.config import all_pairs_bytes
 from repro.pricing import paper_plan
+from repro.selection import GreedySelectPairs
+from repro.solver import MCSSSolver
 from repro.workloads import zipf_workload
 
 # At 1200 users the paper's savings-vs-tau trend is seed-sensitive;
@@ -123,36 +128,95 @@ class TestLadder:
         )
         assert set(result.cells) == {"rsp+ffbp", "lower-bound"}
 
-    def test_warm_start_toggle_is_observationally_identical(self, small_trace):
-        # The warm-started ladder (rung (c) traced, (d)/(e) seeded) must
-        # produce exactly the cold ladder's cells for every
-        # deterministic variant; only rsp+ffbp draws its own random
-        # Stage 1 and is excluded.
+    def test_cells_match_independent_solves(self, small_trace, small_ladder):
+        # Every deterministic cell equals a stand-alone solve of its
+        # rung (which runs its own GSP), and the lower-bound row equals
+        # Algorithm 5; only rsp+ffbp draws a random Stage 1.
         plan = make_plan("c3.large", small_trace.workload, SMALL)
-        deterministic = tuple(v for v in LADDER_VARIANTS if v != "rsp+ffbp")
-        warm = run_cost_ladder(
-            small_trace.workload, plan, taus=(10, 100),
-            variants=deterministic, warm_start=True,
-        )
-        cold = run_cost_ladder(
-            small_trace.workload, plan, taus=(10, 100),
-            variants=deterministic, warm_start=False,
-        )
-        assert warm.cells == cold.cells
+        rungs = {
+            "(a) gsp+ffbp": "a",
+            "(b) +grouping": "b",
+            "(c) +expensive-first": "c",
+            "(d) +free-vm-first": "d",
+            "(e) +cost-decision": "e",
+        }
+        for tau in (10, 100):
+            problem = MCSSProblem(small_trace.workload, tau, plan)
+            expected = {
+                name: MCSSSolver.ladder(rung).solve(problem).cost
+                for name, rung in rungs.items()
+            }
+            expected["lower-bound"] = lower_bound(problem)
+            for name, cost in expected.items():
+                assert small_ladder.cell(name, tau) == LadderCell(
+                    cost_usd=cost.total_usd,
+                    num_vms=cost.num_vms,
+                    bandwidth_gb=cost.total_gb,
+                ), (name, tau)
 
-    def test_warm_start_subset_without_traced_rung(self, small_trace):
-        # A subset starting mid-ladder still warm-starts: the first
-        # wanted expensive-first rung records the trace for the rest.
+    def test_subset_cells_match_full_ladder(self, small_trace, small_ladder):
+        # A subset starting mid-ladder packs exactly as the full one.
         plan = make_plan("c3.large", small_trace.workload, SMALL)
         subset = ("(d) +free-vm-first", "(e) +cost-decision")
-        warm = run_cost_ladder(
-            small_trace.workload, plan, taus=(10,), variants=subset,
+        result = run_cost_ladder(
+            small_trace.workload, plan, taus=(10,), variants=subset, workers=1,
         )
-        cold = run_cost_ladder(
-            small_trace.workload, plan, taus=(10,), variants=subset,
-            warm_start=False,
+        for name in subset:
+            assert result.cell(name, 10) == small_ladder.cell(name, 10)
+
+    def test_tau_order_does_not_change_cells(self, small_trace, small_ladder):
+        plan = make_plan("c3.large", small_trace.workload, SMALL)
+        deterministic = tuple(v for v in LADDER_VARIANTS if v != "rsp+ffbp")
+        result = run_cost_ladder(
+            small_trace.workload, plan, taus=(100, 10),
+            variants=deterministic, workers=1,
         )
-        assert warm.cells == cold.cells
+        for name in deterministic:
+            for tau in (10, 100):
+                assert result.cell(name, tau) == small_ladder.cell(name, tau)
+
+    def test_cells_follow_ladder_order(self, small_trace):
+        plan = make_plan("c3.large", small_trace.workload, SMALL)
+        result = run_cost_ladder(
+            small_trace.workload, plan, taus=(10,),
+            variants=("lower-bound", "(c) +expensive-first", "(a) gsp+ffbp"),
+            workers=1,
+        )
+        assert list(result.cells) == [
+            "(a) gsp+ffbp", "(c) +expensive-first", "lower-bound",
+        ]
+
+    @staticmethod
+    def _count_gsp_selections(monkeypatch):
+        """Record the tau of every GSP selection from here on."""
+        calls = []
+        original = GreedySelectPairs.select
+
+        def counting(self, problem):
+            calls.append(problem.tau)
+            return original(self, problem)
+
+        monkeypatch.setattr(GreedySelectPairs, "select", counting)
+        return calls
+
+    def test_one_gsp_selection_per_tau(self, small_trace, monkeypatch):
+        # Rungs (a)-(e) share one Stage-1 selection per tau.
+        plan = make_plan("c3.large", small_trace.workload, SMALL)
+        calls = self._count_gsp_selections(monkeypatch)
+        run_cost_ladder(
+            small_trace.workload, plan, taus=(10, 100),
+            variants=LADDER_VARIANTS[1:6], workers=1,
+        )
+        assert sorted(calls) == [10, 100]
+
+    def test_no_gsp_selection_without_gsp_variants(self, small_trace, monkeypatch):
+        plan = make_plan("c3.large", small_trace.workload, SMALL)
+        calls = self._count_gsp_selections(monkeypatch)
+        run_cost_ladder(
+            small_trace.workload, plan, taus=(10,),
+            variants=("rsp+ffbp", "lower-bound"), workers=1,
+        )
+        assert calls == []
 
     def test_unknown_variant_rejected(self, small_trace):
         plan = make_plan("c3.large", small_trace.workload, SMALL)

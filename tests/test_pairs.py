@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.core import PairSelection, Workload
-from repro.core import pairs as pairs_module
 
 
 class TestFromCsr:
@@ -97,37 +94,38 @@ class TestFromCsr:
             )
 
 
-class TestDeprecatedShims:
-    """The retired constructors forward, and warn exactly once."""
 
-    @pytest.fixture(autouse=True)
-    def _reset_warn_once(self):
-        saved = set(pairs_module._WARNED_SHIMS)
-        pairs_module._WARNED_SHIMS.clear()
-        yield
-        pairs_module._WARNED_SHIMS.clear()
-        pairs_module._WARNED_SHIMS.update(saved)
+def _shuffled_unique_pairs(seed: int):
+    """Distinct (topic, subscriber) pairs in random order."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 30, size=150) * 1000 + rng.integers(0, 1000, size=150)
+    keys = np.unique(keys)
+    rng.shuffle(keys)
+    return keys // 1000, keys % 1000
 
-    def test_from_trusted_arrays_forwards_and_warns_once(self):
-        by_topic = {2: np.asarray([0, 3], dtype=np.int64)}
-        with pytest.deprecated_call(match="trusted=True"):
-            sel = PairSelection.from_trusted_arrays(by_topic)
-        assert sel == PairSelection({2: [0, 3]})
-        with warnings.catch_warnings(record=True) as record:  # second call is silent
-            warnings.simplefilter("always")
-            PairSelection.from_trusted_arrays(by_topic)
-        assert not [w for w in record if w.category is DeprecationWarning]
 
-    def test_from_pair_arrays_forwards_and_warns_once(self):
-        t = np.array([1, 0], dtype=np.int64)
-        v = np.array([2, 3], dtype=np.int64)
-        with pytest.deprecated_call(match="from_csr"):
-            sel = PairSelection.from_pair_arrays(t, v)
-        assert sel == PairSelection.from_csr(t, None, v)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            PairSelection.from_pair_arrays(t, v)
-        assert not [w for w in record if w.category is DeprecationWarning]
+class TestFlatPairArm:
+    """``from_csr(topics, None, subscribers)`` on randomized pair lists."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_mapping_constructor(self, seed):
+        topics, subs = _shuffled_unique_pairs(seed)
+        want = PairSelection.from_pairs(zip(topics.tolist(), subs.tolist()))
+        assert PairSelection.from_csr(topics, None, subs) == want
+        assert PairSelection.from_csr(topics, None, subs, trusted=True) == want
+
+    def test_pair_arrays_roundtrip(self):
+        topics, subs = _shuffled_unique_pairs(11)
+        sel = PairSelection.from_csr(topics, None, subs)
+        t, v = sel.pair_arrays()
+        assert PairSelection.from_csr(t, None, v) == sel
+        assert list(sel.topics) == sorted(set(topics.tolist()))
+
+    def test_duplicate_pair_rejected(self):
+        topics = np.array([2, 5, 2], dtype=np.int64)
+        subs = np.array([7, 7, 7], dtype=np.int64)
+        with pytest.raises(ValueError, match="duplicate"):
+            PairSelection.from_csr(topics, None, subs)
 
 
 class TestConstruction:

@@ -269,69 +269,111 @@ class TestFromPairArrays:
             )
 
 
-class TestCopy:
-    """Placement.copy(): cheap snapshots shared by the warm-start path."""
+class TestNewVmsAndAssignRange:
+    """The batch entry points the vectorized packers build fleets with."""
 
-    def _packed(self, tiny_workload):
-        p = Placement(tiny_workload, 200.0)
-        a, b = p.new_vm(), p.new_vm()
-        p.assign(a, 0, [0, 1])
-        p.assign(a, 1, [0])
-        p.assign(b, 1, [1, 2])
-        return p, a, b
-
-    def test_snapshot_is_identical(self, tiny_workload):
-        p, _a, _b = self._packed(tiny_workload)
-        clone = p.copy()
-        assert clone is not p
-        assert clone.num_vms == p.num_vms
-        assert clone.num_pairs == p.num_pairs
-        assert clone.total_bytes == pytest.approx(p.total_bytes)
-        # Group iteration order (part of the referee pinning contract)
-        # and per-group member lists survive the copy.
-        assert list(clone.iter_assignments()) == list(p.iter_assignments())
-        np.testing.assert_array_equal(
-            clone.used_bytes_array(), p.used_bytes_array()
-        )
-        for topic in (0, 1):
-            assert clone.hosting_vms(topic) == p.hosting_vms(topic)
-
-    def test_mutating_either_side_leaves_the_other(self, tiny_workload):
-        p, a, b = self._packed(tiny_workload)
-        clone = p.copy()
-        clone.assign(b, 0, [2])
-        clone.remove_topic(a, 1)
-        assert p.members(b, 0) == []  # original unchanged
-        assert sorted(p.members(a, 1)) == [0]
-        assert sorted(clone.members(b, 0)) == [2]
-        p.assign_range(a, 0, np.asarray([2]))
-        assert sorted(clone.members(a, 0)) == [0, 1]  # clone unchanged
-        clone.new_vm()
-        assert p.num_vms == 2
-
-    def test_copy_of_empty_placement(self, tiny_workload):
+    def test_new_vms_returns_first_index_of_a_block(self, tiny_workload):
         p = Placement(tiny_workload, 100.0)
-        clone = p.copy()
-        assert clone.num_vms == 0 and clone.num_pairs == 0
-        clone.new_vm()
+        assert p.new_vms(3) == 0
+        assert p.new_vms(2) == 3
+        assert p.num_vms == 5
+        np.testing.assert_array_equal(p.used_bytes_array(), np.zeros(5))
+
+    def test_new_vms_growth_keeps_used_bytes(self, tiny_workload):
+        # Past the initial array buffer: earlier VMs keep their bytes,
+        # the fresh block starts empty.
+        p = Placement(tiny_workload, 100.0)
+        a = p.new_vms(2)
+        p.assign(a, 0, [0, 1])
+        p.assign(a + 1, 1, [2])
+        before = p.used_bytes_array().copy()
+        first = p.new_vms(20)
+        assert first == 2 and p.num_vms == 22
+        used = p.used_bytes_array()
+        np.testing.assert_array_equal(used[:2], before)
+        np.testing.assert_array_equal(used[2:], np.zeros(20))
+        assert p.total_bytes == pytest.approx(before.sum())
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_new_vms_rejects_non_positive_count(self, tiny_workload, count):
+        p = Placement(tiny_workload, 100.0)
+        with pytest.raises(ValueError, match="positive"):
+            p.new_vms(count)
         assert p.num_vms == 0
 
-    def test_copy_does_not_inherit_event_log(self, tiny_workload):
-        from repro.packing.warmstart import start_recording
+    def test_assign_range_matches_assign(self, tiny_workload):
+        batch = Placement(tiny_workload, 200.0)
+        single = Placement(tiny_workload, 200.0)
+        for p in (batch, single):
+            p.new_vms(2)
+        batch.assign_range(0, 0, np.asarray([0, 1]))
+        batch.assign_range(1, 1, np.asarray([2, 0]))
+        single.assign(0, 0, [0, 1])
+        single.assign(1, 1, [2, 0])
+        assert list(batch.iter_assignments()) == list(single.iter_assignments())
+        np.testing.assert_array_equal(
+            batch.used_bytes_array(), single.used_bytes_array()
+        )
+        assert batch.num_pairs == single.num_pairs == 4
 
-        p, a, _b = self._packed(tiny_workload)
-        events = start_recording(p)
-        clone = p.copy()
-        clone.assign(a, 0, [2])
-        assert events == []  # the clone never writes the source's log
+    def test_assign_range_copies_a_writable_array(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        subs = np.asarray([0, 2], dtype=np.int64)
+        p.assign_range(b, 1, subs)
+        subs[0] = 1  # the caller's array stays the caller's
+        assert subs.flags.writeable
+        assert p.members(b, 1) == [0, 2]
 
-    def test_vm_copy_is_independent(self):
-        vm = VirtualMachine(100.0)
-        vm.add_pairs(3, 10.0, 2)
-        twin = vm.copy()
-        assert twin.used_bytes == vm.used_bytes
-        assert twin.pair_count(3) == 2
-        twin.add_pairs(3, 10.0, 1)
-        assert vm.pair_count(3) == 2
-        vm.remove_pairs(3, 10.0, 2)
-        assert twin.pair_count(3) == 3
+    def test_assign_range_adopts_a_read_only_array(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        subs = np.asarray([1, 2], dtype=np.int64)
+        subs.setflags(write=False)
+        p.assign_range(b, 1, subs)
+        _, _, _, flat = p.assignment_arrays()
+        np.testing.assert_array_equal(flat, subs)
+        assert p.members(b, 1) == [1, 2]
+
+    def test_assign_range_empty_is_a_noop(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        p.assign(b, 0, [0])
+        cached = p.assignment_arrays()
+        p.assign_range(b, 1, np.empty(0, dtype=np.int64))
+        assert p.assignment_arrays() is cached  # no mutation recorded
+        assert p.hosting_vms(1) == []
+        assert p.num_pairs == 1
+
+    def test_assign_range_refreshes_flat_view(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        p.assign_range(b, 0, np.asarray([0]))
+        vm_ids, topics, sizes, subs = p.assignment_arrays()
+        assert sizes.tolist() == [1]
+        p.assign_range(b, 1, np.asarray([1, 2]))
+        vm_ids, topics, sizes, subs = p.assignment_arrays()
+        assert vm_ids.tolist() == [b, b]
+        assert topics.tolist() == [0, 1]
+        assert sizes.tolist() == [1, 2]
+        assert subs.tolist() == [0, 1, 2]
+
+    def test_second_batch_extends_the_group(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        p.assign_range(b, 1, np.asarray([2]))
+        p.assign_range(b, 1, np.asarray([0, 1]))
+        assert p.hosting_vms(1) == [b]  # hosted once, not per batch
+        assert p.members(b, 1) == [2, 0, 1]  # batch order kept
+        # 3 outgoing copies + 1 ingest copy of a 10 B topic.
+        assert p.used_bytes_array()[b] == pytest.approx(40.0)
+
+    def test_over_capacity_batch_leaves_placement_unchanged(self, tiny_workload):
+        p = Placement(tiny_workload, 50.0)
+        b = p.new_vm()
+        p.assign_range(b, 1, np.asarray([0]))
+        with pytest.raises(CapacityError):
+            p.assign_range(b, 0, np.asarray([0, 1]))  # needs 60 B more
+        assert p.hosting_vms(0) == []
+        assert p.num_pairs == 1
+        assert p.used_bytes_array()[b] == pytest.approx(20.0)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import MCSSProblem, validate_placement
-from repro.packing import CustomBinPacking, FFBinPacking
+from repro.packing import CustomBinPacking, FFBinPacking, diff_placements
 from repro.selection import GreedySelectPairs, RandomSelectPairs
 from repro.solver import MCSSSolver
 from tests.conftest import make_unit_plan
@@ -14,6 +15,12 @@ from tests.conftest import make_unit_plan
 @pytest.fixture
 def problem(small_zipf):
     return MCSSProblem(small_zipf, 100, make_unit_plan(5e7))
+
+
+@pytest.fixture
+def tight_problem(small_zipf):
+    """Small VMs: every rung spills over a multi-VM fleet."""
+    return MCSSProblem(small_zipf, 10, make_unit_plan(8e6))
 
 
 class TestPresets:
@@ -113,45 +120,48 @@ class TestSolveWithSelection:
             assert solution.placement.num_pairs == shared.num_pairs
             assert solution.validation.ok
 
+    @pytest.mark.parametrize("rung", ["a", "b", "c", "d", "e"])
+    def test_rung_reproduces_its_full_solve(self, tight_problem, rung):
+        # The ladder packs every rung over one shared GSP selection; a
+        # stand-alone solve (own GSP) must give the same placement.
+        solver = MCSSSolver.ladder(rung)
+        shared = GreedySelectPairs().select(tight_problem)
+        reused = solver.solve_with_selection(tight_problem, shared)
+        full = solver.solve(tight_problem)
+        assert reused.cost.num_vms > 1
+        assert diff_placements(reused.placement, full.placement) is None
+        assert reused.cost.total_usd == full.cost.total_usd
+        assert reused.cost.num_vms == full.cost.num_vms
+
+    def test_packing_leaves_selection_untouched(self, tight_problem):
+        shared = GreedySelectPairs().select(tight_problem)
+        topics, subs = (a.copy() for a in shared.pair_arrays())
+        for rung in ("a", "b", "c", "d", "e"):
+            MCSSSolver.ladder(rung).solve_with_selection(tight_problem, shared)
+        now_topics, now_subs = shared.pair_arrays()
+        np.testing.assert_array_equal(now_topics, topics)
+        np.testing.assert_array_equal(now_subs, subs)
+
+    def test_solver_is_stateless_across_problems(self, problem, tight_problem):
+        # One solver instance, interleaved problems: the repeat solve
+        # must not see anything left over from the previous pack.
+        solver = MCSSSolver.paper()
+        first = solver.solve(tight_problem)
+        solver.solve(problem)
+        again = solver.solve(tight_problem)
+        assert diff_placements(first.placement, again.placement) is None
+        assert first.cost.total_usd == again.cost.total_usd
+
+    def test_unvalidated_solver_reports_insufficient_selection(self, problem):
+        from repro.core import PairSelection
+
+        solver = MCSSSolver(GreedySelectPairs(), CustomBinPacking(), validate=False)
+        solution = solver.solve_with_selection(problem, PairSelection({}))
+        assert not solution.validation.ok
+        assert solution.placement.num_vms == 0
+
     def test_insufficient_selection_rejected(self, problem):
         from repro.core import PairSelection
 
         with pytest.raises(ValueError):
             MCSSSolver.paper().solve_with_selection(problem, PairSelection({}))
-
-    def test_warm_start_threading(self, problem):
-        # emit_warm_start returns a handle; passing it to another rung
-        # must reproduce that rung's cold solve bit for bit.
-        shared = GreedySelectPairs().select(problem)
-        base = MCSSSolver.ladder("c").solve_with_selection(
-            problem, shared, emit_warm_start=True
-        )
-        assert base.warm_start is not None and base.warm_start.trace is not None
-        for rung in ("d", "e"):
-            solver = MCSSSolver.ladder(rung)
-            cold = solver.solve_with_selection(problem, shared)
-            warm = solver.solve_with_selection(
-                problem, shared, warm_start=base.warm_start
-            )
-            assert warm.warm_start is None  # not asked to emit
-            assert warm.cost.num_vms == cold.cost.num_vms
-            assert warm.cost.total_usd == pytest.approx(cold.cost.total_usd)
-            assert sorted(warm.placement.iter_assignments()) == sorted(
-                cold.placement.iter_assignments()
-            )
-            assert warm.validation.ok
-
-    def test_warm_start_ignored_by_ffbp(self, problem):
-        # Packers without warm-start support accept the kwargs and
-        # pack cold; no handle comes back.
-        shared = GreedySelectPairs().select(problem)
-        base = MCSSSolver.ladder("c").solve_with_selection(
-            problem, shared, emit_warm_start=True
-        )
-        ffbp = MCSSSolver.ladder("a")
-        solution = ffbp.solve_with_selection(
-            problem, shared, warm_start=base.warm_start, emit_warm_start=True
-        )
-        assert solution.warm_start is None
-        cold = ffbp.solve_with_selection(problem, shared)
-        assert solution.cost.total_usd == pytest.approx(cold.cost.total_usd)

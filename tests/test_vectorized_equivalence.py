@@ -93,6 +93,7 @@ from repro.selection import (
     LoopGreedySelectPairs,
     ReferenceGreedySelectPairs,
 )
+from repro.solver import MCSSSolver
 from repro.workloads import (
     build_social_graph,
     build_social_graph_loop,
@@ -355,118 +356,35 @@ class TestCBPEquivalence:
         assert fast.num_vms == 6  # 4 pairs per VM (40 out + 10 in), 23 pairs
 
 
-class TestWarmStartEquivalence:
-    """Warm-started CBP packs == cold packs, bit for bit.
+class TestSharedSelectionEquivalence:
+    """The cost ladder's path: one GSP selection, every rung packed
+    cold through :meth:`MCSSSolver.solve_with_selection`, each rung ==
+    the cbp-loop referee on that same selection."""
 
-    ``pack_from`` replays a base trace only where provably
-    option-independent and re-runs every decision the target rung's
-    options could change, so the result must equal a cold ``pack`` --
-    and, transitively, the ``cbp-loop`` referee -- whatever rung the
-    seed came from.  The ``fleet_kernel`` fixture runs every case on
-    both the scalar (default ``_SMALL_FLEET`` -- the small-fleet
-    branch these edgy workloads exercise natively) and the forced
-    whole-array kernels.
-    """
-
-    @pytest.mark.parametrize("seed", (3, 11))
-    def test_chained_ladder_bit_exact(self, seed, fleet_kernel):
-        # The ladder's configuration: (c) traced, later rungs seeded
-        # from the handle the previous warm pack emitted.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pipeline_rungs_match_referee(self, seed, fleet_kernel):
         rng = np.random.default_rng(20_000 + seed)
         workload = edgy_workload(rng)
         problem = packing_problem(workload, rng)
-        selection = GreedySelectPairs().select(problem)
-        handle = None
+        shared = GreedySelectPairs().select(problem)
         for rung in ("b", "c", "d", "e"):
-            opts = CBPOptions.ladder(rung)
-            packer = CustomBinPacking(opts)
-            cold = packer.pack(problem, selection)
-            warm, handle = packer.pack_from(problem, selection, handle)
-            assert_identical_placements(warm, cold, problem)
-            loop = LoopCustomBinPacking(opts).pack(problem, selection)
-            assert_identical_placements(warm, loop, problem)
-            assert validate_placement(problem, warm).ok, f"rung {rung}"
+            solution = MCSSSolver.ladder(rung).solve_with_selection(problem, shared)
+            loop = LoopCustomBinPacking(CBPOptions.ladder(rung)).pack(problem, shared)
+            assert_identical_placements(solution.placement, loop, problem)
+            assert solution.validation.ok, f"rung {rung}"
 
-    @pytest.mark.parametrize("seed", (3, 11))
-    def test_seeded_from_rung_b_bit_exact(self, seed, fleet_kernel):
-        # Seeding from rung (b) must stay bit-exact even though its
-        # selection-order packing shares no prefix with (c)-(e).
+    @pytest.mark.parametrize("seed", range(2))
+    def test_reused_packer_is_stateless(self, seed, fleet_kernel):
+        # One packer instance, problems interleaved twice over: each
+        # pack must equal a fresh packer's.
         rng = np.random.default_rng(21_000 + seed)
-        workload = edgy_workload(rng)
-        problem = packing_problem(workload, rng)
-        selection = GreedySelectPairs().select(problem)
-        _, base = CustomBinPacking(CBPOptions.ladder("b")).pack_traced(
-            problem, selection
-        )
-        for rung in ("c", "d", "e"):
-            packer = CustomBinPacking(CBPOptions.ladder(rung))
-            cold = packer.pack(problem, selection)
-            for emit in (True, False):
-                warm, _ = packer.pack_from(
-                    problem, selection, base, emit_trace=emit
-                )
-                assert_identical_placements(warm, cold, problem)
-
-    def test_small_fleet_scalar_kernel_warm_start(self):
-        # Default _SMALL_FLEET threshold, a fleet of a handful of VMs:
-        # the scalar per-VM kernels must warm-start bit-exactly too.
-        rng = np.random.default_rng(4242)
-        workload = edgy_workload(rng)
-        problem = packing_problem(workload, rng)
-        selection = GreedySelectPairs().select(problem)
-        _, base = CustomBinPacking(CBPOptions.ladder("c")).pack_traced(
-            problem, selection
-        )
-        for rung in ("d", "e"):
-            packer = CustomBinPacking(CBPOptions.ladder(rung))
-            warm, _ = packer.pack_from(problem, selection, base)
-            assert_identical_placements(
-                warm, packer.pack(problem, selection), problem
-            )
-
-    def test_same_options_snapshots_base(self, tiny_problem):
-        # Identical options replay everything: the full-sync fast path
-        # returns a Placement.copy() of the base, still bit-exact.
-        selection = GreedySelectPairs().select(tiny_problem)
-        packer = CustomBinPacking(CBPOptions.ladder("e"))
-        traced, handle = packer.pack_traced(tiny_problem, selection)
-        warm, chained = packer.pack_from(tiny_problem, selection, handle)
-        assert warm is not traced
-        assert_identical_placements(warm, traced, tiny_problem)
-        assert chained is not None and chained.trace is not None
-
-    def test_traced_pack_matches_cold_pack(self, tiny_problem):
-        selection = GreedySelectPairs().select(tiny_problem)
-        for rung in ("b", "e"):
-            packer = CustomBinPacking(CBPOptions.ladder(rung))
-            traced, handle = packer.pack_traced(tiny_problem, selection)
-            assert handle.trace is not None
-            assert_identical_placements(
-                traced, packer.pack(tiny_problem, selection), tiny_problem
-            )
-
-    def test_none_seed_falls_back(self, tiny_problem):
-        selection = GreedySelectPairs().select(tiny_problem)
-        packer = CustomBinPacking(CBPOptions.ladder("d"))
-        warm, handle = packer.pack_from(tiny_problem, selection, None)
-        assert handle is not None  # fell back to a traced cold pack
-        assert_identical_placements(
-            warm, packer.pack(tiny_problem, selection), tiny_problem
-        )
-
-    def test_foreign_selection_rejected(self, tiny_problem):
-        selection = GreedySelectPairs().select(tiny_problem)
-        _, base = CustomBinPacking().pack_traced(tiny_problem, selection)
-        other = PairSelection({0: [0, 1]})
-        with pytest.raises(ValueError, match="different selection"):
-            CustomBinPacking().pack_from(tiny_problem, other, base)
-
-    def test_foreign_problem_rejected(self, tiny_problem, tiny_workload):
-        selection = GreedySelectPairs().select(tiny_problem)
-        _, base = CustomBinPacking().pack_traced(tiny_problem, selection)
-        other = MCSSProblem(tiny_workload, 30.0, make_unit_plan(75.0))
-        with pytest.raises(ValueError, match="different problem"):
-            CustomBinPacking().pack_from(other, selection, base)
+        problems = [packing_problem(edgy_workload(rng), rng) for _ in range(3)]
+        selections = [GreedySelectPairs().select(p) for p in problems]
+        packer = CustomBinPacking()
+        for problem, selection in list(zip(problems, selections)) * 2:
+            reused = packer.pack(problem, selection)
+            fresh = CustomBinPacking().pack(problem, selection)
+            assert_identical_placements(reused, fresh, problem)
 
 
 class TestFFBPEquivalence:
