@@ -33,9 +33,10 @@ sorted subscriber-major -- and runs each epoch as whole-array passes:
   and added/removed pairs fall out of two sorted-key set differences;
 * per-VM used bytes are one ``np.bincount`` over the (vm, topic)
   groups; eviction walks only the overloaded VMs;
-* added pairs are placed grouped by topic: per pair one ``argmax``
-  over a maintained score vector (``free + capacity * hosts``) instead
-  of a Python rescan of every VM that re-sums its table;
+* added and evicted pairs are placed grouped by topic through two lazy
+  heaps -- the topic's fitting hosts by ``free + capacity`` and the
+  whole fleet by ``free`` -- in O(log V) per pair, choosing exactly the
+  VM the referee's full rescan picks (see :meth:`_place_stream`);
 * the placement is materialized on demand via
   :meth:`Placement.from_pair_arrays`;
 * both sort orders -- the canonical ``(subscriber, topic)`` table and
@@ -70,6 +71,7 @@ fresh solve).
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -103,6 +105,9 @@ class EpochReport:
     the fresh cost that gated the decision.  :attr:`drift` falls back
     to the estimate on estimate-only epochs; the skip condition
     guarantees it stays within the rebuild threshold either way.
+    ``vms_examined`` counts the heap entries the pair placer inspected,
+    stale pops and skipped hosts included (a work counter; the loop
+    referee leaves it at 0).
     """
 
     epoch: int
@@ -117,6 +122,7 @@ class EpochReport:
     seconds: float
     fresh_solved: bool = True
     fresh_estimate_usd: float = 0.0
+    vms_examined: int = 0
 
     @property
     def drift(self) -> float:
@@ -490,8 +496,7 @@ class IncrementalReprovisioner:
         place_t = np.concatenate([at, mt])
         place_v = np.concatenate([av, mv])
         placed_vm, used = self._place_stream(
-            place_t, place_v, used, capacity, rates, msg,
-            g_vm, g_t, g_cnt_after, group_alive,
+            place_t, used, capacity, rates, msg, g_vm, g_t, g_cnt_after, group_alive
         )
 
         # ---- rebuild the pair arrays + close empty VMs ---------------
@@ -565,6 +570,7 @@ class IncrementalReprovisioner:
             seconds=time.perf_counter() - t0,
             fresh_solved=fresh is not None,
             fresh_estimate_usd=estimate,
+            vms_examined=self._vms_examined,
         )
 
     # ------------------------------------------------------------------
@@ -573,7 +579,6 @@ class IncrementalReprovisioner:
     def _place_stream(
         self,
         place_t: np.ndarray,
-        place_v: np.ndarray,
         used: np.ndarray,
         capacity: float,
         rates: np.ndarray,
@@ -583,65 +588,139 @@ class IncrementalReprovisioner:
         g_cnt: np.ndarray,
         group_alive: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assign a pair stream to VMs, replicating the referee's scan.
+        """Assign a pair stream to VMs with the referee's rule, via two heaps.
 
-        Per pair, the referee scores every VM as ``free + capacity *
-        hosts(t)`` among those with room (``topic_bytes`` if hosting,
-        twice that otherwise) and takes the first maximum; here that
-        scan is a handful of whole-array ops plus one masked
-        ``np.argmax`` per pair over the maintained used-bytes vector --
-        still O(VMs) per pair like the referee, but without the Python
-        rescan that re-sums every VM's table per candidate (see ROADMAP
-        for the within-topic waterfall batching that would amortize the
-        argmax if this ever profiles hot).  Runs of equal topics (the
-        canonical grouped-by-topic order) share the hosting mask.
-        Returns ``(vm per pair, per-VM used bytes)``; ``self._num_vms``
-        is updated to include freshly opened VMs.
+        The rule, per pair of topic ``t`` with ``tb`` bytes: a VM fits
+        when ``tb <= free + 1e-9`` if it hosts ``t`` and ``2 * tb <= free
+        + 1e-9`` otherwise; among fitting VMs take the highest score
+        ``free + capacity * hosts(t)``, lowest index on ties; if none
+        fits, open a VM.  Two lazy heaps find that VM in O(log V):
+
+        * per run of one topic, a heap of its fitting hosts keyed
+          ``(-(free + capacity), vm)``.  ``tb`` is fixed within the run
+          and free bytes only fall, so a host that stops fitting never
+          fits again and is popped for good when it surfaces; the first
+          current, fitting entry is the best host.  Popping non-fitting
+          hosts also settles score ties, where ``free + capacity``
+          rounds and the lowest index may be the one that does not fit.
+        * one heap over the whole fleet keyed ``(-free, vm)``, built once
+          per stream from a stable sort (a sorted list is a heap).  It is
+          searched only when no host fits or the best host's score does
+          not exceed the largest free value.  It pops hosts until the
+          first non-host, which is the best one if it fits at all
+          (fitting is monotone in ``free``).  When no host fits, no host
+          passes the ``2 * tb`` test either, so hosts are skipped only at
+          rounding edges.
+
+        After a placement the VM's changed keys are pushed; an entry
+        whose key differs from its VM's recomputed key is stale and is
+        dropped when it surfaces.  That check is exact because keys only
+        rise within a stream.  Both fit tests and both scores are
+        monotone in ``free`` under IEEE rounding, so every choice equals
+        the referee's scan bit for bit, and ``used`` accumulates by the
+        same repeated ``+=``.  Returns ``(vm per pair, per-VM used
+        bytes)``; ``self._num_vms`` then includes freshly opened VMs and
+        ``self._vms_examined`` counts the heap entries inspected.
         """
-        placed_vm = np.empty(place_t.size, dtype=np.int64)
+        self._vms_examined = 0
         if place_t.size == 0:
-            return placed_vm, used
+            return np.empty(0, dtype=np.int64), used
+        capacity = float(capacity)
         num_vms = self._num_vms
-        cap_vms = num_vms + place_t.size  # worst case: one fresh VM per pair
-        used_buf = np.zeros(cap_vms, dtype=np.float64)
-        used_buf[:num_vms] = used
-        # Host sets survive across runs of the same topic (an added run
-        # now, an evicted move later must see the VMs it just filled).
-        host_sets: Dict[int, Set[int]] = {}
-        hosted = group_alive & (g_cnt > 0)
-        # repolint: allow(VL01): host-set index build feeding the sequential placement below
-        for g in np.flatnonzero(hosted).tolist():
-            host_sets.setdefault(int(g_t[g]), set()).add(int(g_vm[g]))
+        used_l = used.tolist()  # Python floats: the same IEEE-754 arithmetic
+        free = capacity - used
+        by_free = np.argsort(-free, kind="stable")
+        fleet = list(zip((-free[by_free]).tolist(), by_free.tolist()))
 
-        run_topic = -1
-        host_mask = np.zeros(cap_vms, dtype=bool)
-        # repolint: allow(VL01): one masked argmax per added pair -- batching is ROADMAP item 5
-        for i in range(place_t.size):
-            t = int(place_t[i])
-            if t != run_topic:
-                run_topic = t
-                host_mask[:] = False
-                hosts = host_sets.get(t)
-                if hosts:
-                    host_mask[list(hosts)] = True
-            tb = float(rates[t]) * msg
-            free = capacity - used_buf[:num_vms]
-            mask = host_mask[:num_vms]
-            need = np.where(mask, tb, 2.0 * tb)
-            fits = need <= free + 1e-9
-            if fits.any():
-                score = np.where(fits, free + np.where(mask, capacity, 0.0), -np.inf)
-                b = int(np.argmax(score))
-                used_buf[b] += need[b]
-            else:
-                b = num_vms
-                num_vms += 1
-                used_buf[b] = 2.0 * tb
-            placed_vm[i] = b
-            host_mask[b] = True
-            host_sets.setdefault(t, set()).add(b)
+        # Host lists of the stream's topics from the live groups; a
+        # topic's set outlives its run (an added run now, an evicted
+        # move later must see the VMs it just filled).
+        hosted = group_alive & (g_cnt > 0)
+        h_t, h_vm = g_t[hosted], g_vm[hosted]
+        by_topic = np.argsort(h_t, kind="stable")
+        h_t, h_vm = h_t[by_topic], h_vm[by_topic]
+        run_lo = np.flatnonzero(
+            np.concatenate(([True], place_t[1:] != place_t[:-1]))
+        )
+        run_t = place_t[run_lo]
+        run_len = np.diff(np.append(run_lo, place_t.size))
+        h_lo = np.searchsorted(h_t, run_t)
+        h_hi = np.searchsorted(h_t, run_t, side="right")
+        run_tb = rates[run_t] * msg
+        host_sets: Dict[int, Set[int]] = {}
+
+        placed: List[int] = []
+        examined = 0
+        # repolint: allow(VL01): one heap build per run of one topic; O(hosts(t))
+        for t, n_run, lo, hi, tb in zip(
+            run_t.tolist(), run_len.tolist(), h_lo.tolist(), h_hi.tolist(),
+            run_tb.tolist(),
+        ):
+            hosts = host_sets.get(t)
+            if hosts is None:
+                hosts = host_sets[t] = set(h_vm[lo:hi].tolist())
+            tb2 = 2.0 * tb
+            hheap = [
+                (-(capacity - used_l[b] + capacity), b)
+                for b in hosts
+                if tb <= capacity - used_l[b] + 1e-9
+            ]
+            heapq.heapify(hheap)
+            # repolint: allow(VL01): sequential placement -- each pair's choice depends on the previous pair's update
+            for _ in range(n_run):
+                a = -1
+                score_a = 0.0
+                # repolint: allow(VL01): lazy-heap top; every pop is a stale or no-longer-fitting entry
+                while hheap:
+                    key, b = hheap[0]
+                    examined += 1
+                    f = capacity - used_l[b]
+                    if key == -(f + capacity) and tb <= f + 1e-9:
+                        a, score_a = b, -key
+                        break
+                    heapq.heappop(hheap)
+                best = a
+                skipped = []
+                # repolint: allow(VL01): lazy-heap top; pops only stale entries and rounding-edge hosts
+                while fleet:
+                    key, b = fleet[0]
+                    examined += 1
+                    f = capacity - used_l[b]
+                    if key != -f:
+                        heapq.heappop(fleet)
+                    elif (a >= 0 and f < score_a) or not tb2 <= f + 1e-9:
+                        break
+                    elif b in hosts:
+                        skipped.append(heapq.heappop(fleet))
+                    else:
+                        if a < 0 or f > score_a or b < a:
+                            best = b
+                        break
+                # repolint: allow(VL01): re-push the rounding-edge hosts skipped above
+                for entry in skipped:
+                    heapq.heappush(fleet, entry)
+
+                if best < 0:
+                    best = num_vms
+                    num_vms += 1
+                    used_l.append(tb2)
+                    f = capacity - tb2
+                    heapq.heappush(fleet, (-f, best))
+                    heapq.heappush(hheap, (-(f + capacity), best))
+                    hosts.add(best)
+                else:
+                    old = capacity - used_l[best]
+                    used_l[best] += tb if best == a else tb2
+                    f = capacity - used_l[best]
+                    if f != old:
+                        heapq.heappush(fleet, (-f, best))
+                    if best != a or f + capacity != old + capacity:
+                        heapq.heappush(hheap, (-(f + capacity), best))
+                    hosts.add(best)
+                placed.append(best)
         self._num_vms = num_vms
-        return placed_vm, used_buf[:num_vms]
+        self._vms_examined = examined
+        return np.array(placed, dtype=np.int64), np.array(used_l, dtype=np.float64)
 
     def _adopt(self, placement: Placement) -> None:
         """Replace internal state with a fresh solve's placement."""

@@ -258,7 +258,7 @@ class CustomBinPacking(PackingAlgorithm):
             order = np.arange(topics.size)
 
         current = placement.new_vm()
-        # repolint: allow(VL01): per-topic CBP main loop -- inherent current-VM dependence (ROADMAP item 5)
+        # repolint: allow(VL01): per-topic CBP main loop -- each topic's allocation starts from the VM the previous topic left current
         for g in order.tolist():
             t = int(topics[g])
             subs = flat_subs[indptr[g]:indptr[g + 1]]

@@ -126,6 +126,22 @@ class TestIncrementalReprovisioner:
         touched = epoch.pairs_added + epoch.pairs_removed + epoch.pairs_moved
         assert touched < problem.workload.num_pairs * 0.2
 
+    def test_placer_examines_few_vms_per_pair(self):
+        # The two-heap placer inspects O(log V) heap entries per placed
+        # pair; a fleet scan would examine every one of the >200 VMs.
+        workload = zipf_workload(200, 4000, mean_interest=8.0, seed=21)
+        capacity = 3.0 * float(workload.event_rates.max()) * workload.message_size_bytes
+        reprov = IncrementalReprovisioner(
+            MCSSProblem(workload, 1000, make_unit_plan(capacity))
+        )
+        assert reprov.num_vms > 200
+        model = ChurnModel(workload, ChurnConfig(0.02, 0.02, 0.05), seed=5)
+        for _ in range(3):
+            epoch = reprov.step(model.step())
+            placed = epoch.pairs_added + epoch.pairs_moved
+            assert placed > 0
+            assert 0 < epoch.vms_examined <= 8 * placed
+
     def test_invalid_threshold(self, problem):
         with pytest.raises(ValueError):
             IncrementalReprovisioner(problem, rebuild_threshold=0.9)
@@ -239,5 +255,6 @@ class TestLoopReferees:
         model = ChurnModel(problem.workload, seed=42)
         report = reprov.step(model.step())
         assert report.fresh_solved and report.fresh_cost is not None
+        assert report.vms_examined == 0  # work counter of the heap placer only
         assert validate_placement(reprov.problem, reprov.placement()).ok
         assert report.drift <= 1.15 + 1e-6

@@ -34,11 +34,14 @@ as executable specifications:
   workloads on shared seeds, epoch after epoch (both resolve the same
   rng draws against the same canonical pair enumeration);
 * ``IncrementalReprovisioner`` (array state, batched GSP reselect,
-  argmax placement; run with ``fresh_solve_every=1`` to match the
+  two-heap placement; run with ``fresh_solve_every=1`` to match the
   referee's every-epoch fresh solve)  ==
   ``LoopIncrementalReprovisioner`` (the retained ``reprovision-loop``
   referee) -- *identical epoch placements*, costs, EpochReport move
-  counts and rebuild decisions on shared-seed churn streams;
+  counts and rebuild decisions on shared-seed churn streams; its pair
+  placer alone is pinned against a test-local copy of the masked-argmax
+  scan it replaced, on adversarial float inputs (ties, near-capacity
+  hosts, capacities past 2**53, non-integer rates);
 * ``MicroEpochService`` (the serving layer: churn fragments queued,
   sealed per micro-epoch, stepped through the merge-maintained group
   index; run with ``fresh_solve_every=1``)  ==
@@ -55,8 +58,12 @@ tau above every interest sum, and all-rates-exceed-tau overshoot.
 
 from __future__ import annotations
 
+from typing import Dict, Set
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     MCSSProblem,
@@ -713,6 +720,188 @@ class TestReprovisionEquivalence:
         loop = LoopIncrementalReprovisioner(tiny_problem)
         assert diff_placements(vec.placement(), loop.placement()) is None
         assert vec.selection() == loop.selection()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_drift_stream(self, seed):
+        # Capacity at 2-3x the hottest pair with rate drift: evictions
+        # and exhausted hosts dominate the placement stream.
+        rng = np.random.default_rng(14_000 + seed)
+        rates = rng.integers(1, 12, size=int(rng.integers(6, 14))).astype(float)
+        interests = [
+            sorted(rng.choice(rates.size, size=int(rng.integers(1, 6)),
+                              replace=False).tolist())
+            for _ in range(int(rng.integers(30, 60)))
+        ]
+        workload = Workload(rates, interests, message_size_bytes=1.0)
+        capacity = float(rng.uniform(2.0, 3.0)) * 2.0 * float(rates.max())
+        problem = MCSSProblem(workload, float(rng.integers(5, 30)),
+                              make_unit_plan(capacity))
+        model = ChurnModel(workload, ChurnConfig(0.1, 0.1, 0.2), seed=seed)
+        vec = IncrementalReprovisioner(problem, fresh_solve_every=1)
+        loop = LoopIncrementalReprovisioner(problem)
+        moved = 0
+        for _ in range(5):
+            delta = model.step()
+            vec_report = vec.step(delta)
+            self._assert_same_epoch(vec_report, loop.step(delta), vec, loop, problem)
+            moved += vec_report.pairs_moved
+        assert moved > 0
+
+
+def masked_argmax_place(
+    num_vms, place_t, used, capacity, rates, msg, g_vm, g_t, g_cnt, group_alive
+):
+    """The placer's former kernel, verbatim: one masked argmax per pair.
+
+    Returns ``(vm per pair, per-VM used bytes, fleet size)``.
+    """
+    placed_vm = np.empty(place_t.size, dtype=np.int64)
+    if place_t.size == 0:
+        return placed_vm, used, num_vms
+    cap_vms = num_vms + place_t.size  # worst case: one fresh VM per pair
+    used_buf = np.zeros(cap_vms, dtype=np.float64)
+    used_buf[:num_vms] = used
+    host_sets: Dict[int, Set[int]] = {}
+    hosted = group_alive & (g_cnt > 0)
+    for g in np.flatnonzero(hosted).tolist():
+        host_sets.setdefault(int(g_t[g]), set()).add(int(g_vm[g]))
+
+    run_topic = -1
+    host_mask = np.zeros(cap_vms, dtype=bool)
+    for i in range(place_t.size):
+        t = int(place_t[i])
+        if t != run_topic:
+            run_topic = t
+            host_mask[:] = False
+            hosts = host_sets.get(t)
+            if hosts:
+                host_mask[list(hosts)] = True
+        tb = float(rates[t]) * msg
+        free = capacity - used_buf[:num_vms]
+        mask = host_mask[:num_vms]
+        need = np.where(mask, tb, 2.0 * tb)
+        fits = need <= free + 1e-9
+        if fits.any():
+            score = np.where(fits, free + np.where(mask, capacity, 0.0), -np.inf)
+            b = int(np.argmax(score))
+            used_buf[b] += need[b]
+        else:
+            b = num_vms
+            num_vms += 1
+            used_buf[b] = 2.0 * tb
+        placed_vm[i] = b
+        host_mask[b] = True
+        host_sets.setdefault(t, set()).add(b)
+    return placed_vm, used_buf[:num_vms], num_vms
+
+
+@st.composite
+def placer_inputs(draw):
+    """Adversarial inputs for the pair placer.
+
+    Score ties, hosts at exactly ``tb`` and ``tb +- 1e-9`` from it,
+    emptied and evicted groups, ``used`` of 0 or -1e-12, capacities at
+    and past 2**53 (where ``free + capacity`` rounds), non-integer
+    rates, and topic runs that come back later in the stream.
+    """
+    num_topics = draw(st.integers(1, 5))
+    num_vms = draw(st.integers(0, 10))
+    capacity = draw(st.sampled_from(
+        [7.0, 16.0, 33.5, 2.0 ** 53, 3.0 * 2.0 ** 53, 2.0 ** 60 + 2048.0]
+    ))
+    msg = draw(st.sampled_from([1.0, 0.5, 0.1, 3.0]))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, 6), min_size=num_topics,
+                            max_size=num_topics))
+    else:
+        raw = draw(st.lists(st.floats(0.0, 6.0), min_size=num_topics,
+                            max_size=num_topics))
+    scale = draw(st.sampled_from([1.0, capacity / 16.0]))
+    rates = np.asarray(raw, dtype=np.float64) * scale
+    tbs = rates * msg
+
+    used = np.zeros(num_vms, dtype=np.float64)
+    for b in range(num_vms):
+        t = draw(st.integers(0, num_topics - 1))
+        used[b] = draw(st.sampled_from([
+            0.0,
+            -1e-12,
+            capacity,
+            capacity - tbs[t],
+            capacity - tbs[t] + 1e-9,
+            capacity - tbs[t] - 1e-9,
+            capacity - 2.0 * tbs[t],
+            capacity * draw(st.integers(0, 8)) / 8.0,
+            capacity * draw(st.floats(0.0, 1.0)),
+        ]))
+
+    g_vm, g_t, g_cnt, alive = [], [], [], []
+    for b in range(num_vms):
+        for t in sorted(draw(st.sets(st.integers(0, num_topics - 1), max_size=3))):
+            g_vm.append(b)
+            g_t.append(t)
+            g_cnt.append(draw(st.integers(0, 2)))
+            alive.append(draw(st.booleans()) or draw(st.booleans()))
+
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, num_topics - 1), st.integers(1, 5)),
+        max_size=8,
+    ))
+    place_t = np.asarray([t for t, n in runs for _ in range(n)], dtype=np.int64)
+    return (
+        num_vms, place_t, used, capacity, rates, msg,
+        np.asarray(g_vm, dtype=np.int64), np.asarray(g_t, dtype=np.int64),
+        np.asarray(g_cnt, dtype=np.int64), np.asarray(alive, dtype=bool),
+    )
+
+
+def placer_case(capacity, rates, used, hosts, place_t, msg=1.0):
+    """Explicit placer inputs; ``hosts`` lists live ``(vm, topic)`` groups."""
+    g = sorted(hosts)
+    return (
+        len(used), np.asarray(place_t, dtype=np.int64),
+        np.asarray(used, dtype=np.float64), capacity,
+        np.asarray(rates, dtype=np.float64), msg,
+        np.asarray([b for b, _ in g], dtype=np.int64),
+        np.asarray([t for _, t in g], dtype=np.int64),
+        np.ones(len(g), dtype=np.int64), np.ones(len(g), dtype=bool),
+    )
+
+
+class TestPlaceStreamKernel:
+    """The two-heap pair placer == the masked-argmax scan it replaced.
+
+    Called directly on adversarial float inputs, where rounding decides
+    fits and ties: the chosen VMs, the used-bytes vector (bit for bit)
+    and the fleet size must all agree.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(placer_inputs())
+    # A full host's score ties an empty non-host's free: lowest index.
+    @example(placer_case(8.0, [0.0], [0.0, 8.0], [(1, 0)], [0, 0]))
+    @example(placer_case(8.0, [0.0], [8.0, 0.0], [(0, 0)], [0, 0]))
+    # free + capacity rounds at 2**53: the host's score ties a free VM.
+    @example(placer_case(2.0 ** 53, [1.0], [0.0, 2.0 ** 53 - 1.0], [(1, 0)], [0]))
+    # Equal host scores (free 1 and 2 both round to 2**54) where only
+    # the higher index fits.
+    @example(placer_case(
+        2.0 ** 54, [2.0], [2.0 ** 54 - 1.0, 2.0 ** 54 - 2.0], [(0, 0), (1, 0)], [0]
+    ))
+    def test_matches_masked_argmax_scan(self, inputs):
+        num_vms, place_t, used, capacity, rates, msg = inputs[:6]
+        groups = inputs[6:]
+        placer = IncrementalReprovisioner.__new__(IncrementalReprovisioner)
+        placer._num_vms = num_vms
+        got_vm, got_used = placer._place_stream(
+            place_t, used.copy(), capacity, rates, msg, *groups
+        )
+        want_vm, want_used, want_vms = masked_argmax_place(
+            num_vms, place_t, used.copy(), capacity, rates, msg, *groups
+        )
+        assert got_vm.tolist() == want_vm.tolist()
+        assert got_used.tobytes() == np.asarray(want_used, dtype=np.float64).tobytes()
+        assert placer.num_vms == want_vms
 
 
 class TestBackendEquivalence:
