@@ -105,8 +105,21 @@ class PairSelection:
         self._topics = topics
         self._indptr = indptr
         self._subs = subscribers
-        self._topic_pos = {int(t): i for i, t in enumerate(topics.tolist())}
+        self._topic_pos = None
         self._pair_arrays = None
+
+    def _positions(self) -> Dict[int, int]:
+        """``topic -> group index``, built on first lookup.
+
+        Stage 2 reads the CSR arrays directly, so a solve never pays
+        for this dict; only the mapping API (:meth:`subscribers_of`,
+        :meth:`pair_count`, equality) builds it.
+        """
+        pos = self._topic_pos
+        if pos is None:
+            pos = {t: i for i, t in enumerate(self._topics.tolist())}
+            self._topic_pos = pos
+        return pos
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -253,14 +266,14 @@ class PairSelection:
 
         A zero-copy read-only slice of the flat CSR subscriber array.
         """
-        i = self._topic_pos.get(int(topic))
+        i = self._positions().get(int(topic))
         if i is None:
             return _EMPTY
         return self._subs[self._indptr[i]:self._indptr[i + 1]]
 
     def pair_count(self, topic: int) -> int:
         """Number of selected pairs for a topic."""
-        i = self._topic_pos.get(int(topic))
+        i = self._positions().get(int(topic))
         if i is None:
             return 0
         return int(self._indptr[i + 1] - self._indptr[i])
@@ -299,13 +312,13 @@ class PairSelection:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairSelection):
             return NotImplemented
-        if self._topic_pos.keys() != other._topic_pos.keys():
+        if self._positions().keys() != other._positions().keys():
             return False
         return all(
             np.array_equal(
                 np.sort(self.subscribers_of(t)), np.sort(other.subscribers_of(t))
             )
-            for t in self._topic_pos
+            for t in self._positions()
         )
 
     def __hash__(self) -> int:  # pragma: no cover - rarely used
@@ -313,7 +326,7 @@ class PairSelection:
             tuple(
                 sorted(
                     (t, tuple(sorted(self.subscribers_of(t).tolist())))
-                    for t in self._topic_pos
+                    for t in self._positions()
                 )
             )
         )

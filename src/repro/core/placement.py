@@ -29,6 +29,9 @@ packers never loop over VMs in Python:
 * :meth:`Placement.assign_range` -- batch assignment of a flat
   subscriber array slice: O(1) accounting plus one adopted array
   chunk, instead of per-subscriber list work;
+* :meth:`Placement.assign_groups` -- the longest prefix of whole topic
+  groups that fits on one VM, placed in one accumulate pass with the
+  same bits as one ``assign_range`` per group (CBP's run batching);
 * :meth:`Placement.remove_range` / :meth:`Placement.remove_topic` --
   the removal/eviction mirrors of ``assign_range``, for tooling that
   mutates a live placement under churn;
@@ -331,6 +334,80 @@ class Placement:
         self._members.setdefault((vm_index, topic), []).append(subs)
         self._num_pairs += int(subs.size)
         self._mutations += 1
+
+    def assign_groups(
+        self,
+        vm_index: int,
+        topics: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        subscribers: np.ndarray,
+    ) -> int:
+        """Append the longest prefix of topic groups that fits on one VM.
+
+        Group ``k`` is topic ``topics[k]`` with subscribers
+        ``subscribers[starts[k]:ends[k]]`` (offsets into one flat
+        array, so no per-pair copy is made).  Groups are placed in
+        order, each exactly as :meth:`assign_range` would place it,
+        until the first one that does not fit; returns how many were
+        placed.  The topics must be distinct and not hosted on the VM
+        yet (each group charges one incoming copy), else ``ValueError``
+        before anything is mutated.  Slices of a read-only
+        ``subscribers`` are adopted, of a writable one copied.
+
+        The fit test reproduces the sequential ``fits`` + ``add_pairs``
+        accounting bit for bit: the running outgoing and incoming bytes
+        are ``np.cumsum`` prefixes of ``[out, tb_1 n_1, tb_2 n_2, ...]``
+        and ``[in, tb_1, tb_2, ...]`` -- a strictly left-to-right
+        accumulate, the same additions ``+=`` performs one group at a
+        time (``np.sum`` would add pairwise and change the last bits)
+        -- and group ``k`` fits iff
+        ``tb_k (n_k + 1) <= (cap - (out_{k-1} + in_{k-1})) + 1e-9``.
+        """
+        t = np.asarray(topics, dtype=np.int64)
+        if t.size == 0:
+            return 0
+        lo = np.asarray(starts, dtype=np.int64)
+        hi = np.asarray(ends, dtype=np.int64)
+        vm = self._vms[vm_index]
+        topic_list = t.tolist()
+        if len(set(topic_list)) != t.size or not vm._pair_counts.keys().isdisjoint(
+            topic_list
+        ):
+            raise ValueError(
+                f"assign_groups needs distinct topics not yet hosted on VM {vm_index}"
+            )
+        counts = hi - lo
+        if (counts <= 0).any():
+            raise ValueError("every group must hold at least one subscriber")
+        tb = self.workload.event_rates[t] * self.workload.message_size_bytes
+        out = np.cumsum(np.concatenate(([vm._out_bytes], tb * counts)))
+        inc = np.cumsum(np.concatenate(([vm._in_bytes], tb)))
+        fits = tb * (counts + 1) <= (vm.capacity_bytes - (out[:-1] + inc[:-1])) + 1e-9
+        placed = t.size if fits.all() else int(np.argmin(fits))
+        if placed == 0:
+            return 0
+
+        subs = np.asarray(subscribers, dtype=np.int64)
+        chunks = [subs[a:b] for a, b in zip(lo[:placed].tolist(), hi[:placed].tolist())]
+        if subs.flags.writeable:
+            chunks = [chunk.copy() for chunk in chunks]
+            for chunk in chunks:
+                chunk.setflags(write=False)
+        topic_list = topic_list[:placed]
+        vm._pair_counts.update(zip(topic_list, counts[:placed].tolist()))
+        vm._out_bytes = float(out[placed])
+        vm._in_bytes = float(inc[placed])
+        self._used[vm_index] = vm.used_bytes
+        topic_vms = self._topic_vms
+        for topic in topic_list:
+            topic_vms.setdefault(topic, []).append(vm_index)
+        self._members.update(
+            ((vm_index, topic), [chunk]) for topic, chunk in zip(topic_list, chunks)
+        )
+        self._num_pairs += int(counts[:placed].sum())
+        self._mutations += 1
+        return placed
 
     def remove_range(
         self, vm_index: int, topic: int, subscribers: np.ndarray

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core import MCSSProblem, PairSelection, Workload, validate_placement
+from repro.experiments.config import make_plan
 from repro.packing import (
     CBPOptions,
     CustomBinPacking,
     FFBinPacking,
+    LoopCustomBinPacking,
     cheaper_to_distribute,
+    diff_placements,
     get_packer,
 )
 from repro.selection import GreedySelectPairs
+from repro.workloads import TwitterConfig, TwitterWorkloadGenerator
 from tests.conftest import make_unit_plan, random_workload
 
 
@@ -160,3 +164,21 @@ class TestCheaperToDistribute:
 
     def test_registry(self):
         assert isinstance(get_packer("cbp"), CustomBinPacking)
+
+
+class TestRunBatching:
+    def test_twitter_pack_batches_runs_of_fitting_topics(self):
+        # A Twitter-shaped selection is thousands of small topics packed
+        # onto a few dozen VMs, so almost every topic fits whole on the
+        # current VM.  Placing those runs through assign_groups windows
+        # keeps Placement mutations to a small fraction of the topics,
+        # with the same placement as the cbp-loop referee.
+        trace = TwitterWorkloadGenerator(TwitterConfig(num_users=20_000)).generate(seed=3)
+        workload = trace.workload
+        problem = MCSSProblem(workload, 100.0, make_plan("c3.large", workload))
+        selection = GreedySelectPairs().select(problem)
+        placement = CustomBinPacking().pack(problem, selection)
+        assert selection.num_topics > 5000
+        assert placement._mutations <= 0.10 * selection.num_topics
+        loop = LoopCustomBinPacking().pack(problem, selection)
+        assert diff_placements(placement, loop) is None

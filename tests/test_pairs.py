@@ -187,6 +187,27 @@ class TestViews:
         assert PairSelection({0: [1]}) != PairSelection({0: [2]})
         assert PairSelection({0: [1]}) != PairSelection({1: [1]})
 
+    def test_lazy_positions_equal_eager(self):
+        # The topic -> group index is built on first lookup; a selection
+        # that never built it compares, hashes and answers lookups like
+        # one that did.
+        topics = np.asarray([5, 1, 3], dtype=np.int64)
+        indptr = np.asarray([0, 2, 3, 5], dtype=np.int64)
+        subs = np.asarray([4, 0, 2, 1, 0], dtype=np.int64)
+        lazy = PairSelection.from_csr(topics, indptr, subs, trusted=True)
+        eager = PairSelection.from_csr(topics, indptr, subs, trusted=True)
+        eager.subscribers_of(5)
+        assert lazy._topic_pos is None and eager._topic_pos is not None
+        assert lazy == eager and eager == lazy
+        assert lazy == PairSelection({1: [2], 3: [0, 1], 5: [0, 4]})
+        assert hash(lazy) == hash(eager)
+        assert PairSelection.from_csr(topics, indptr, subs, trusted=True) != (
+            PairSelection({1: [2], 3: [0, 1], 5: [0, 3]})
+        )
+        fresh = PairSelection.from_csr(topics, indptr, subs, trusted=True)
+        assert fresh.pair_count(3) == 2 and fresh.pair_count(4) == 0
+        assert fresh.subscribers_of(5).tolist() == [4, 0]
+
     def test_topics_by_subscriber_roundtrip(self):
         sel = PairSelection({0: [1, 2], 1: [1]})
         inverted = sel.topics_by_subscriber()

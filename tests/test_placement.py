@@ -377,3 +377,108 @@ class TestNewVmsAndAssignRange:
         assert p.hosting_vms(0) == []
         assert p.num_pairs == 1
         assert p.used_bytes_array()[b] == pytest.approx(20.0)
+
+
+class TestAssignGroups:
+    """Placement.assign_groups: the longest fitting prefix of topic groups,
+    placed exactly as one assign_range per group would place it."""
+
+    @staticmethod
+    def _groups():
+        # Topics 0..3 at 1, 2, 3, 4 B; groups of 2, 1, 3, 1 subscribers
+        # laid out back to back in one flat array.
+        w = Workload(
+            [1.0, 2.0, 3.0, 4.0], [[0, 1, 2, 3], [0, 2], [0, 2]], message_size_bytes=1.0
+        )
+        flat = np.asarray([0, 1, 0, 0, 1, 2, 0], dtype=np.int64)
+        flat.setflags(write=False)
+        topics = np.asarray([0, 1, 2, 3], dtype=np.int64)
+        starts = np.asarray([0, 2, 3, 6], dtype=np.int64)
+        ends = np.asarray([2, 3, 6, 7], dtype=np.int64)
+        return w, flat, topics, starts, ends
+
+    @staticmethod
+    def _state(p):
+        return (
+            list(p.iter_assignments()),
+            p.used_bytes_array().tobytes(),
+            [(vm.outgoing_bytes, vm.incoming_bytes, dict(vm._pair_counts)) for vm in p.vms],
+            {t: p.hosting_vms(t) for t in range(p.workload.num_topics)},
+            p.num_pairs,
+        )
+
+    def test_matches_one_assign_range_per_group(self):
+        w, flat, topics, starts, ends = self._groups()
+        batch = Placement(w, 100.0)
+        single = Placement(w, 100.0)
+        for p in (batch, single):
+            p.new_vms(2)
+            p.assign(0, 3, [1])
+        assert batch.assign_groups(0, topics[:3], starts[:3], ends[:3], flat) == 3
+        for t, a, b in zip(topics[:3], starts[:3], ends[:3]):
+            single.assign_range(0, int(t), flat[a:b])
+        assert self._state(batch) == self._state(single)
+
+    def test_stops_at_first_misfit(self):
+        # 0: 2 out + 1 in = 3 B; 1: 2 + 2 = 4 B; 2: 9 + 3 = 12 B misfits
+        # the 12 B VM; 3 (8 B) would fit after 0 and 1 but is not placed.
+        w, flat, topics, starts, ends = self._groups()
+        p = Placement(w, 12.0)
+        b = p.new_vm()
+        assert p.assign_groups(b, topics, starts, ends, flat) == 2
+        assert p.vm_topics(b) == [0, 1]
+        assert p.hosting_vms(2) == p.hosting_vms(3) == []
+        assert p.used_bytes_array()[b] == 7.0
+        assert p.num_pairs == 3
+
+    def test_zero_placed_mutates_nothing(self):
+        w, flat, topics, starts, ends = self._groups()
+        p = Placement(w, 12.0)
+        b = p.new_vm()
+        p.assign(b, 3, [0])  # 8 B used: topic 2 (12 B) cannot fit
+        cached = p.assignment_arrays()
+        before = self._state(p)
+        assert p.assign_groups(b, topics[2:3], starts[2:3], ends[2:3], flat) == 0
+        assert p.assignment_arrays() is cached  # no mutation recorded
+        assert self._state(p) == before
+
+    @pytest.mark.parametrize("picked", [[0, 3], [1, 1]])
+    def test_rejects_hosted_or_repeated_topic(self, picked):
+        # [0, 3]: topic 3 is already hosted; [1, 1]: a repeated topic.
+        w, flat, topics, starts, ends = self._groups()
+        p = Placement(w, 100.0)
+        b = p.new_vm()
+        p.assign(b, 3, [1])
+        before = self._state(p)
+        with pytest.raises(ValueError, match="distinct topics"):
+            p.assign_groups(b, topics[picked], starts[picked], ends[picked], flat)
+        assert self._state(p) == before
+
+    def test_adopts_read_only_and_copies_writable(self):
+        w, flat, topics, starts, ends = self._groups()
+        adopted = Placement(w, 100.0)
+        adopted.new_vm()
+        adopted.assign_groups(0, topics[:2], starts[:2], ends[:2], flat)
+        assert np.shares_memory(adopted._members[(0, 0)][0], flat)
+
+        writable = flat.copy()
+        copied = Placement(w, 100.0)
+        copied.new_vm()
+        copied.assign_groups(0, topics[:2], starts[:2], ends[:2], writable)
+        writable[:] = -1  # the caller's array stays the caller's
+        assert copied.members(0, 0) == [0, 1]
+        assert copied.members(0, 1) == [0]
+        assert not copied._members[(0, 1)][0].flags.writeable
+
+    def test_invalidates_assignment_arrays_cache(self):
+        w, flat, topics, starts, ends = self._groups()
+        p = Placement(w, 100.0)
+        b = p.new_vm()
+        p.assign_range(b, 3, flat[6:7])
+        cached = p.assignment_arrays()
+        p.assign_groups(b, topics[:2], starts[:2], ends[:2], flat)
+        vm_ids, group_topics, sizes, subs = p.assignment_arrays()
+        assert p.assignment_arrays() is not cached
+        assert group_topics.tolist() == [3, 0, 1]
+        assert sizes.tolist() == [1, 2, 1]
+        assert subs.tolist() == [0, 0, 1, 0]

@@ -18,7 +18,10 @@ as executable specifications:
   *identical placements* (per-VM topic->subscriber assignment lists,
   assignment-group order, VM count, bytes and cost) on every ladder
   rung b/c/d/e, across randomized pricing plans so the cost-based
-  decision (Algorithm 7) exercises both verdicts;
+  decision (Algorithm 7) exercises both verdicts, and -- bit for bit
+  in used, outgoing and incoming bytes -- on many small topics with
+  non-integer rates whose running bytes end a batched run within a
+  few ULPs of capacity;
 * ``FFBinPacking`` (CSR pair enumeration + batch assigns)  ==
   ``LoopFFBinPacking`` (the ``ffbp-loop`` referee);
 * ``build_social_graph`` (whole-array CSR construction,
@@ -62,7 +65,7 @@ from typing import Dict, Set
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -352,8 +355,10 @@ class TestCBPEquivalence:
         assert empty.num_vms == 0
 
     def test_big_topic_fresh_vm_batch(self):
-        # One topic spanning several fresh VMs: the batched np.split
-        # deployment must chunk exactly like the referee's while-loop.
+        # One topic spanning several fresh VMs: deploying all
+        # ceil(count / per_fresh) VMs up front and filling them with
+        # consecutive slices must chunk exactly like the referee's
+        # while-loop.
         w = Workload([10.0], [[0]] * 23, message_size_bytes=1.0)
         problem = MCSSProblem(w, 10, make_unit_plan(50.0))
         full = PairSelection.full(w)
@@ -361,6 +366,96 @@ class TestCBPEquivalence:
         loop = LoopCustomBinPacking().pack(problem, full)
         assert_identical_placements(fast, loop, problem)
         assert fast.num_vms == 6  # 4 pairs per VM (40 out + 10 in), 23 pairs
+
+
+@st.composite
+def run_boundary_instances(draw):
+    """Many small topics whose running VM bytes end a run on a knife edge.
+
+    Non-integer rates (so every running sum rounds), groups of 1-4
+    subscribers, and topic ids relabelled so that insertion order is
+    also the expensive-topic-first order: every rung then allocates in
+    the same order, and the capacity is set so that the ``k``-th topic's
+    need lands exactly on, or 1-3 ULPs around, ``cap + 1e-9`` minus the
+    VM's running bytes -- the fit test at a run boundary.  Rates scaled
+    by 2**50 put capacities past 2**53, where ``1e-9`` vanishes and each
+    running sum drops low bits.  Returns ``(problem, selection, gallop)``
+    with ``gallop`` the run length to start batching after.
+    """
+    num_topics = draw(st.integers(2, 80))
+    raw = np.asarray(draw(st.lists(
+        st.floats(0.5, 4.0), min_size=num_topics, max_size=num_topics
+    )))
+    counts = np.asarray(draw(st.lists(
+        st.integers(1, 4), min_size=num_topics, max_size=num_topics
+    )), dtype=np.int64)
+    msg = draw(st.sampled_from([1.0, 0.1, 3.0]))
+    rates = raw * draw(st.sampled_from([1.0, 2.0 ** 50]))
+    order = np.lexsort((np.arange(num_topics), -rates, -rates * counts))
+    rates, counts = rates[order], counts[order]
+    tb = rates * msg
+
+    k = draw(st.integers(1, num_topics - 1))
+    out = inc = 0.0
+    for j in range(k):  # the sequential VirtualMachine accounting
+        out += float(tb[j]) * int(counts[j])
+        inc += float(tb[j])
+    capacity = (float(tb[k]) * (int(counts[k]) + 1) - 1e-9) + (out + inc)
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        capacity = float(np.nextafter(capacity, np.inf if ulps > 0 else -np.inf))
+    assume(2.0 * float(tb.max()) <= capacity)
+
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    subs = np.concatenate([np.arange(n, dtype=np.int64) for n in counts.tolist()])
+    interests = [
+        np.flatnonzero(counts > v).tolist() for v in range(int(counts.max()))
+    ]
+    workload = Workload(rates, interests, message_size_bytes=msg)
+    plan = make_unit_plan(
+        capacity,
+        vm_price=draw(st.sampled_from([0.0, 0.5, 10.0, 200.0])),
+        usd_per_gb=draw(st.sampled_from([0.0, 0.12, 1e3, 1e9])),
+    )
+    selection = PairSelection.from_csr(
+        np.arange(num_topics, dtype=np.int64), indptr, subs, trusted=True
+    )
+    gallop = draw(st.sampled_from([1, 2, 16]))
+    return MCSSProblem(workload, 1.0, plan), selection, gallop
+
+
+class TestCBPRunBatching:
+    """Run-batched CBP == cbp-loop on adversarial run boundaries.
+
+    The main loop places long runs of fitting topics with
+    ``Placement.assign_groups``, whose fit test must reproduce the
+    sequential ``fits`` + ``+=`` accounting bit for bit; these instances
+    put a run boundary where one rounding step decides the fit.
+    """
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(run_boundary_instances())
+    def test_matches_referee_at_run_boundaries(self, fleet_kernel, instance):
+        from repro.packing import custom
+
+        problem, selection, gallop = instance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(custom, "_GALLOP_AFTER", gallop)
+            for rung in ("b", "c", "d", "e"):
+                opts = CBPOptions.ladder(rung)
+                fast = CustomBinPacking(opts).pack(problem, selection)
+                loop = LoopCustomBinPacking(opts).pack(problem, selection)
+                assert_identical_placements(fast, loop, problem)
+                assert fast.used_bytes_array().tobytes() == (
+                    loop.used_bytes_array().tobytes()
+                ), f"rung {rung}"
+                for a, b in zip(fast.vms, loop.vms):
+                    assert a.outgoing_bytes == b.outgoing_bytes, f"rung {rung}"
+                    assert a.incoming_bytes == b.incoming_bytes, f"rung {rung}"
 
 
 class TestSharedSelectionEquivalence:
