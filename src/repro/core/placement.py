@@ -17,114 +17,169 @@ unit** (event rate x message size) so the capacity constraint ``bw_b <=
 BC`` can be checked directly against the byte-denominated VM capacity
 of the pricing catalog.
 
-Array-backed core
------------------
-The hot-path state is held in NumPy arrays so the vectorized Stage-2
-packers never loop over VMs in Python:
+Columnar store
+--------------
+A placement is stored once, in append-only ``array.array`` columns and
+tables of fixed-width rows, and two int-keyed dicts.  Whole-array code
+reads the columns through NumPy copies or views that die within the
+call: an ``array.array`` cannot grow while a view of it is alive.
 
-* :meth:`Placement.used_bytes_array` / :meth:`free_bytes_array` --
-  per-VM byte accounting as one float64 vector (geometrically grown);
-* :meth:`Placement.hosts_mask` -- the "which VMs ingest topic t"
-  bitset, served from a per-topic VM index kept incrementally;
-* :meth:`Placement.assign_range` -- batch assignment of a flat
-  subscriber array slice: O(1) accounting plus one adopted array
-  chunk, instead of per-subscriber list work;
-* :meth:`Placement.assign_groups` -- the longest prefix of whole topic
-  groups that fits on one VM, placed in one accumulate pass with the
-  same bits as one ``assign_range`` per group (CBP's run batching);
-* :meth:`Placement.remove_range` / :meth:`Placement.remove_topic` --
-  the removal/eviction mirrors of ``assign_range``, for tooling that
-  mutates a live placement under churn;
-* :meth:`Placement.from_pair_arrays` -- batch-materialize a whole
-  placement from flat per-pair ``(vm, topic, subscriber)`` arrays
-  (one lexsort, one ``assign_range`` per group);
-* :meth:`Placement.new_vms` -- deploy a batch of VMs at once.
+* per VM, ``out`` and ``in`` byte columns:
+  :meth:`Placement.used_bytes_array` is ``out + in``, the expression
+  :attr:`VirtualMachine.used_bytes` evaluates;
+* groups ``(vm, topic, count, prev)``, one per (vm, topic) in
+  first-appearance (:meth:`Placement.iter_assignments`) order; ``prev``
+  chains a topic's groups, so its hosting VMs are one walk away;
+* chunks ``(group, array, lo, hi)``: a log of adopted read-only
+  subscriber arrays, a chunk being ``arrays[array][lo:hi]``;
+* ``vm * num_topics + topic -> group`` and ``topic -> newest group``.
 
-Per-(vm, topic) subscriber identities are retained as lists of array
-chunks (appended, never extended element-wise) so the placement can be
-audited (satisfaction, duplicate-assignment) and replayed by the
-deployment simulator.  The per-VM :class:`VirtualMachine` objects
-remain the scalar accounting/query API; each batch assignment updates
-exactly one of them in O(1).
+:meth:`Placement.new_vms`, :meth:`Placement.assign_range`,
+:meth:`Placement.assign_groups` and :meth:`Placement.from_pair_arrays`
+only work out what to append; the one private primitive
+``Placement._append`` writes it.  Pairs are never removed.
+:class:`VirtualMachine` is a read-only view over ``(placement, index)``.
+
+Exactness
+---------
+Packers and validators compare VM bytes bit for bit with the loop
+referees, so every path reproduces the sequential accounting: a VM's
+outgoing bytes are ``0.0 + tb_1 n_1 + tb_2 n_2 + ...`` added left to
+right in append order, its incoming bytes ``0.0 + tb_1 + tb_2 + ...``.
+:meth:`Placement.assign_range` does those ``+=`` one group at a time;
+:meth:`Placement.assign_groups` takes them as ``np.cumsum`` prefixes (a
+strictly left-to-right accumulate); and
+:meth:`Placement.from_pair_arrays` takes them as
+``np.bincount(g_vm, weights=...)``, which adds the weights into their
+bins in input order -- the same additions, in the same order, as one
+``assign_range`` per group.  ``np.sum`` or ``np.add.reduceat`` would
+add pairwise and change the last bits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .pairs import PairSelection
 from .workload import Workload
 
-__all__ = ["VirtualMachine", "Placement", "CapacityError"]
+__all__ = [
+    "VirtualMachine",
+    "Placement",
+    "CapacityError",
+    "CAPACITY_SLACK",
+    "pairs_that_fit",
+]
+
+#: Absolute slack, in bytes, of every capacity fit test: pairs fit when
+#: their bytes are ``<= free + CAPACITY_SLACK``.
+CAPACITY_SLACK = 1e-9
+
+
+def pairs_that_fit(free: float, topic_bytes: float, new_topic: bool) -> int:
+    """How many pairs of a topic fit in ``free`` bytes.
+
+    ``new_topic`` charges the one-off incoming copy.  The count is
+    ``floor(budget / topic_bytes)`` of the remaining budget, lowered
+    while it fails the exact test of :meth:`VirtualMachine.fits` and
+    :meth:`Placement.assign_range`, ``topic_bytes * (n + new) <= free
+    + CAPACITY_SLACK``: the budget's subtraction and the product round
+    separately, so at a rounding edge the floor can be one too many.
+    Returns 0 when the budget is below one pair.
+    """
+    limit = free + CAPACITY_SLACK
+    budget = limit - topic_bytes if new_topic else limit
+    if budget < topic_bytes:
+        return 0
+    n = int(budget // topic_bytes)
+    new = 1 if new_topic else 0
+    # repolint: allow(VL01): runs once per pair the rounding overshoots by, not per pair placed
+    while n > 0 and topic_bytes * (n + new) > limit:
+        n -= 1
+    return n
+
+# Column offsets in the group and chunk tables (4-wide rows).
+_VM, _TOPIC, _COUNT, _PREV = range(4)
+_GROUP, _ARRAY, _LO, _HI = range(4)
 
 
 class CapacityError(ValueError):
     """Raised when an assignment would exceed a VM's bandwidth capacity."""
 
 
+def _rows(table: array, width: int) -> np.ndarray:
+    """A NumPy copy of ``table`` as ``(rows, width)``."""
+    return np.array(table).reshape(-1, width)
+
+
+def _extend(table: array, *columns: np.ndarray) -> None:
+    """Append rows to ``table``, given column by column."""
+    table.frombytes(np.array(columns, dtype=table.typecode).tobytes(order="F"))
+
+
 class VirtualMachine:
-    """A single VM holding topic-subscriber pairs.
+    """Read-only view of one VM of a :class:`Placement`.
 
-    Tracks, incrementally:
-
-    * ``pair_counts``: ``topic -> number of pairs of that topic on
-      this VM`` (subscriber identities are tracked by the owning
-      :class:`Placement`);
-    * the outgoing/incoming byte rates implied by those counts.
+    Reads the VM's accounting -- outgoing/incoming byte rates and
+    per-topic pair counts -- from the placement's tables; mutate through
+    the placement.
     """
 
-    __slots__ = ("capacity_bytes", "_pair_counts", "_out_bytes", "_in_bytes")
+    __slots__ = ("_placement", "_index")
 
-    def __init__(self, capacity_bytes: float) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("VM capacity must be positive")
-        self.capacity_bytes = float(capacity_bytes)
-        self._pair_counts: Dict[int, int] = {}
-        self._out_bytes = 0.0
-        self._in_bytes = 0.0
+    def __init__(self, placement: "Placement", index: int) -> None:
+        self._placement = placement
+        self._index = index
 
     # -- accounting ----------------------------------------------------
     @property
     def outgoing_bytes(self) -> float:
         """Outgoing byte rate (one copy per assigned pair)."""
-        return self._out_bytes
+        return self._placement._out[self._index]
 
     @property
     def incoming_bytes(self) -> float:
         """Incoming byte rate (one copy per distinct hosted topic)."""
-        return self._in_bytes
+        return self._placement._in[self._index]
 
     @property
     def used_bytes(self) -> float:
         """``bw_b`` -- total (incoming + outgoing) byte rate."""
-        return self._out_bytes + self._in_bytes
+        p, i = self._placement, self._index
+        return p._out[i] + p._in[i]
 
     @property
     def free_bytes(self) -> float:
         """Remaining capacity ``BC - bw_b``."""
-        return self.capacity_bytes - self.used_bytes
+        return self._placement.capacity_bytes - self.used_bytes
 
     @property
-    def topics(self) -> Iterable[int]:
-        """Distinct topics hosted on this VM."""
-        return self._pair_counts.keys()
+    def topics(self) -> List[int]:
+        """Distinct topics hosted on this VM, in first-host order."""
+        return self._placement.vm_topics(self._index)
 
     @property
     def num_pairs(self) -> int:
         """Number of pairs assigned to this VM."""
-        return sum(self._pair_counts.values())
+        groups = _rows(self._placement._groups, 4)
+        return int(groups[groups[:, _VM] == self._index, _COUNT].sum())
 
     def pair_count(self, topic: int) -> int:
         """Number of pairs of ``topic`` on this VM."""
-        return self._pair_counts.get(topic, 0)
+        p = self._placement
+        g = p._group_of.get(self._index * p._num_topics + topic)
+        return 0 if g is None else p._groups[4 * g + _COUNT]
 
     def hosts_topic(self, topic: int) -> bool:
         """Whether the topic's event stream is ingested by this VM."""
-        return topic in self._pair_counts
+        p = self._placement
+        return self._index * p._num_topics + topic in p._group_of
 
-    # -- mutation ------------------------------------------------------
+    # -- fit tests -----------------------------------------------------
     def addition_cost_bytes(self, topic_bytes: float, count: int, new_topic: bool) -> float:
         """Byte-rate delta of adding ``count`` pairs of a topic.
 
@@ -136,78 +191,28 @@ class VirtualMachine:
 
     def fits(self, topic_bytes: float, count: int, new_topic: bool) -> bool:
         """Whether ``count`` pairs of a topic fit in the free capacity."""
-        return self.addition_cost_bytes(topic_bytes, count, new_topic) <= self.free_bytes + 1e-9
+        return (
+            self.addition_cost_bytes(topic_bytes, count, new_topic)
+            <= self.free_bytes + CAPACITY_SLACK
+        )
 
     def max_new_pairs(self, topic_bytes: float, already_hosted: bool) -> int:
         """Largest number of pairs of a topic this VM can still accept.
 
         Accounts for the one-off incoming copy if the topic is not yet
-        hosted here.  Returns 0 when not even a single pair fits.
+        hosted here.  Returns 0 when not even a single pair fits; the
+        count always passes :meth:`fits` (see :func:`pairs_that_fit`).
         """
-        free = self.free_bytes + 1e-9
-        if not already_hosted:
-            free -= topic_bytes
-        if free < topic_bytes:
-            return 0
-        return int(free // topic_bytes)
-
-    def add_pairs(self, topic: int, topic_bytes: float, count: int) -> None:
-        """Assign ``count`` pairs of ``topic`` to this VM.
-
-        Raises :class:`CapacityError` if the capacity would be exceeded;
-        callers are expected to check :meth:`fits` first.
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        new_topic = topic not in self._pair_counts
-        delta = self.addition_cost_bytes(topic_bytes, count, new_topic)
-        if delta > self.free_bytes + 1e-9:
-            raise CapacityError(
-                f"adding {count} pairs of topic {topic} needs {delta:.1f} B "
-                f"but only {self.free_bytes:.1f} B free"
-            )
-        self._pair_counts[topic] = self._pair_counts.get(topic, 0) + count
-        self._out_bytes += topic_bytes * count
-        if new_topic:
-            self._in_bytes += topic_bytes
-
-    def remove_pairs(self, topic: int, topic_bytes: float, count: int) -> None:
-        """Remove ``count`` pairs of ``topic`` from this VM.
-
-        The accounting mirror of :meth:`add_pairs`: the outgoing rate
-        drops by ``count`` copies, and when the last pair of the topic
-        leaves, the VM stops ingesting it (one incoming copy freed).
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        have = self._pair_counts.get(topic, 0)
-        if count > have:
-            raise ValueError(
-                f"cannot remove {count} pairs of topic {topic}: only {have} here"
-            )
-        left = have - count
-        self._out_bytes -= topic_bytes * count
-        if left:
-            self._pair_counts[topic] = left
-        else:
-            del self._pair_counts[topic]
-            self._in_bytes -= topic_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VirtualMachine(used={self.used_bytes:.0f}/"
-            f"{self.capacity_bytes:.0f} B, topics={len(self._pair_counts)}, "
-            f"pairs={self.num_pairs})"
-        )
+        return pairs_that_fit(self.free_bytes, topic_bytes, not already_hosted)
 
 
 class Placement:
     """A complete assignment of selected pairs to a VM fleet.
 
     Stage-2 algorithms build a placement incrementally through
-    :meth:`assign` / :meth:`assign_range` / :meth:`new_vm`; analysis
-    code reads the aggregate properties.  See the module docstring for
-    the array-backed core the vectorized packers consume.
+    :meth:`assign` / :meth:`assign_range` / :meth:`assign_groups` /
+    :meth:`new_vm`; analysis code reads the aggregate properties.  See
+    the module docstring for the columnar store behind both.
     """
 
     def __init__(self, workload: Workload, capacity_bytes: float) -> None:
@@ -215,17 +220,75 @@ class Placement:
             raise ValueError("VM capacity must be positive")
         self.workload = workload
         self.capacity_bytes = float(capacity_bytes)
-        self._vms: List[VirtualMachine] = []
-        # Array core: per-VM used bytes (geometrically grown buffer).
-        self._used = np.zeros(8, dtype=np.float64)
-        # topic -> indices of the VMs hosting it (appended on first host).
-        self._topic_vms: Dict[int, List[int]] = {}
-        # (vm index, topic) -> adopted subscriber-array chunks.
-        self._members: Dict[Tuple[int, int], List[np.ndarray]] = {}
+        self._num_topics = workload.num_topics
+        self._out = array("d")
+        self._in = array("d")
+        self._groups = array("q")
+        self._chunks = array("q")
+        self._arrays: List[np.ndarray] = []
+        self._group_of: Dict[int, int] = {}
+        self._last_host: Dict[int, int] = {}
         self._num_pairs = 0
-        # Flat-array view cache (see assignment_arrays).
-        self._mutations = 0
-        self._flat_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
+        # assignment_arrays() and group offsets, keyed by len(_arrays).
+        self._flat_cache: Optional[Tuple[int, Tuple[np.ndarray, ...], np.ndarray]] = None
+
+    def _append(
+        self, vm_bytes, at=None, vm=None, topics=None, subscribers=None, lo=0, hi=0
+    ) -> None:
+        """The store's one mutation (capacity checks are the callers').
+
+        Appends one VM per entry of the ``vm_bytes = (out, in)`` arrays,
+        or with ``at`` sets that VM's ``(out, in)``.  Then logs the chunks
+        ``subscribers[lo:hi]`` (a read-only array) of ``topics`` on
+        ``vm``: a scalar topic extends its group if it exists; an array
+        opens one new group per entry.
+        """
+        if at is None:
+            _extend(self._out, vm_bytes[0])
+            _extend(self._in, vm_bytes[1])
+        else:
+            self._out[at], self._in[at] = vm_bytes
+        if subscribers is None:
+            return
+        self._arrays.append(subscribers)
+        src = len(self._arrays) - 1
+        groups = self._groups
+        first = len(groups) // 4
+        if isinstance(topics, int):
+            key = vm * self._num_topics + topics
+            g = self._group_of.get(key)
+            if g is None:
+                g = first
+                groups.fromlist([vm, topics, hi - lo, self._last_host.get(topics, -1)])
+                self._group_of[key] = self._last_host[topics] = g
+            else:
+                groups[4 * g + _COUNT] += hi - lo
+            self._chunks.fromlist([g, src, lo, hi])
+            self._num_pairs += hi - lo
+            return
+
+        k = topics.size
+        ids = np.arange(first, first + k, dtype=np.int64)
+        vms = np.full(k, vm) if np.ndim(vm) == 0 else vm
+        # Chain each new group to its topic's newest group -- or, for a
+        # topic that repeats in the batch, to its previous row.
+        topic_list, id_list = topics.tolist(), ids.tolist()
+        prev = np.fromiter(map(self._last_host.get, topic_list, repeat(-1)), np.int64, k)
+        if len(set(topic_list)) < k:
+            by_topic = np.argsort(topics, kind="stable")
+            again = np.flatnonzero(np.diff(topics[by_topic]) == 0) + 1
+            prev[by_topic[again]] = ids[by_topic[again - 1]]
+        self._last_host.update(zip(topic_list, id_list))
+        self._group_of.update(zip((vms * self._num_topics + topics).tolist(), id_list))
+        _extend(groups, vms, topics, hi - lo, prev)
+        _extend(self._chunks, ids, np.full(k, src), lo, hi)
+        self._num_pairs += int((hi - lo).sum())
+
+    def _vm_index(self, vm_index: int) -> int:
+        """``vm_index`` as an index into the fleet (``IndexError`` if none)."""
+        if 0 <= vm_index < len(self._out):
+            return vm_index
+        return range(len(self._out))[vm_index]
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -243,11 +306,13 @@ class Placement:
         ``vm_ids``, ``topics`` and ``subscribers`` are parallel arrays,
         one row per assigned pair; VM indices must be dense in
         ``[0, num_vms)`` (``num_vms`` defaults to ``max(vm_ids) + 1``).
-        One ``np.lexsort`` groups the pairs by ``(vm, topic)``; each
-        group becomes a single :meth:`assign_range` whose subscriber
-        slice is adopted zero-copy, so the cost is O(pairs log pairs)
-        regardless of how many pairs each group holds.  The sort is
-        stable: subscribers keep their input order inside each group.
+        One ``np.lexsort`` groups the pairs by ``(vm, topic)`` and one
+        boundary scan finds the groups; the sorted subscriber array is
+        adopted whole, and the VM bytes are two ``np.bincount`` passes,
+        bit-identical to one :meth:`assign_range` per group (see the
+        module docstring).  The sort is stable: subscribers keep their
+        input order inside each group.  Raises :class:`CapacityError`
+        if a VM ends up over capacity.
 
         This is the batch materialization path of the dynamic
         reprovisioner (its per-epoch state is exactly these arrays).
@@ -266,19 +331,23 @@ class Placement:
                 f"vm_ids must lie in [0, {count}); got "
                 f"[{int(vm.min())}, {int(vm.max())}]"
             )
-        if count:
-            placement.new_vms(count)
-        if vm.size == 0:
-            return placement
         order = np.lexsort((t, vm))
         s_vm, s_t, s_v = vm[order], t[order], v[order]
         s_v.setflags(write=False)
-        key = s_vm * np.int64(int(s_t.max()) + 1) + s_t
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        ends = np.append(starts[1:], s_vm.size)
-        for g in range(starts.size):
-            lo = int(starts[g])
-            placement.assign_range(int(s_vm[lo]), int(s_t[lo]), s_v[lo:int(ends[g])])
+        key = s_vm * placement._num_topics + s_t
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.flatnonzero(np.diff(key, append=-1)) + 1
+        g_vm, g_t = s_vm[starts], s_t[starts]
+        tb = workload.event_rates[g_t] * workload.message_size_bytes
+        out = np.bincount(g_vm, weights=tb * (ends - starts), minlength=count)
+        inc = np.bincount(g_vm, weights=tb, minlength=count)
+        over = np.flatnonzero(out + inc > placement.capacity_bytes + CAPACITY_SLACK)
+        if over.size:
+            raise CapacityError(
+                f"VM {int(over[0])} would use {out[over[0]] + inc[over[0]]:.1f} B "
+                f"of {placement.capacity_bytes:.1f} B"
+            )
+        placement._append((out, inc), None, g_vm, g_t, s_v, starts, ends)
         return placement
 
     def new_vm(self) -> int:
@@ -289,16 +358,8 @@ class Placement:
         """Deploy ``count`` new empty VMs; returns the first index."""
         if count <= 0:
             raise ValueError("count must be positive")
-        first = len(self._vms)
-        total = first + count
-        if total > self._used.size:
-            grown = np.zeros(max(2 * self._used.size, total), dtype=np.float64)
-            grown[:first] = self._used[:first]
-            self._used = grown
-        else:
-            self._used[first:total] = 0.0
-        for _ in range(count):
-            self._vms.append(VirtualMachine(self.capacity_bytes))
+        first = self.num_vms
+        self._append((np.zeros(count), np.zeros(count)))
         return first
 
     def assign(self, vm_index: int, topic: int, subscribers: Sequence[int]) -> None:
@@ -315,8 +376,10 @@ class Placement:
         The array is adopted (not copied) when it is already read-only
         -- the contract of the CSR slices the vectorized packers pass
         -- and defensively copied otherwise.  Accounting is O(1) in the
-        number of subscribers: one :meth:`VirtualMachine.add_pairs`
-        update plus one chunk append.
+        number of subscribers: one byte update plus one chunk row.
+        Raises :class:`CapacityError`, mutating nothing, if the pairs
+        do not fit; callers are expected to check
+        :meth:`VirtualMachine.fits` first.
         """
         subs = np.asarray(subscribers, dtype=np.int64)
         if subs.size == 0:
@@ -325,15 +388,20 @@ class Placement:
             subs = subs.copy()
             subs.setflags(write=False)
         topic = int(topic)
-        vm = self._vms[vm_index]
-        new_topic = not vm.hosts_topic(topic)
-        vm.add_pairs(topic, self.topic_bytes(topic), int(subs.size))
-        self._used[vm_index] = vm.used_bytes
-        if new_topic:
-            self._topic_vms.setdefault(topic, []).append(vm_index)
-        self._members.setdefault((vm_index, topic), []).append(subs)
-        self._num_pairs += int(subs.size)
-        self._mutations += 1
+        b = self._vm_index(vm_index)
+        count = int(subs.size)
+        topic_bytes = self.topic_bytes(topic)
+        new_topic = b * self._num_topics + topic not in self._group_of
+        delta = topic_bytes * (count + (1 if new_topic else 0))
+        out, inc = self._out[b], self._in[b]
+        free = self.capacity_bytes - (out + inc)
+        if delta > free + CAPACITY_SLACK:
+            raise CapacityError(
+                f"adding {count} pairs of topic {topic} needs {delta:.1f} B "
+                f"but only {free:.1f} B free"
+            )
+        inc = inc + topic_bytes if new_topic else inc
+        self._append((out + topic_bytes * count, inc), b, b, topic, subs, 0, count)
 
     def assign_groups(
         self,
@@ -352,28 +420,27 @@ class Placement:
         until the first one that does not fit; returns how many were
         placed.  The topics must be distinct and not hosted on the VM
         yet (each group charges one incoming copy), else ``ValueError``
-        before anything is mutated.  Slices of a read-only
-        ``subscribers`` are adopted, of a writable one copied.
+        before anything is mutated.  A read-only ``subscribers`` is
+        adopted whole; of a writable one, the placed slices are copied
+        into one compact array.
 
-        The fit test reproduces the sequential ``fits`` + ``add_pairs``
+        The fit test reproduces the sequential ``fits`` + ``+=``
         accounting bit for bit: the running outgoing and incoming bytes
         are ``np.cumsum`` prefixes of ``[out, tb_1 n_1, tb_2 n_2, ...]``
         and ``[in, tb_1, tb_2, ...]`` -- a strictly left-to-right
         accumulate, the same additions ``+=`` performs one group at a
         time (``np.sum`` would add pairwise and change the last bits)
         -- and group ``k`` fits iff
-        ``tb_k (n_k + 1) <= (cap - (out_{k-1} + in_{k-1})) + 1e-9``.
+        ``tb_k (n_k + 1) <= (cap - (out_{k-1} + in_{k-1})) + CAPACITY_SLACK``.
         """
         t = np.asarray(topics, dtype=np.int64)
         if t.size == 0:
             return 0
         lo = np.asarray(starts, dtype=np.int64)
         hi = np.asarray(ends, dtype=np.int64)
-        vm = self._vms[vm_index]
-        topic_list = t.tolist()
-        if len(set(topic_list)) != t.size or not vm._pair_counts.keys().isdisjoint(
-            topic_list
-        ):
+        b = self._vm_index(vm_index)
+        keys = (b * self._num_topics + t).tolist()
+        if len(set(keys)) != t.size or not self._group_of.keys().isdisjoint(keys):
             raise ValueError(
                 f"assign_groups needs distinct topics not yet hosted on VM {vm_index}"
             )
@@ -381,106 +448,25 @@ class Placement:
         if (counts <= 0).any():
             raise ValueError("every group must hold at least one subscriber")
         tb = self.workload.event_rates[t] * self.workload.message_size_bytes
-        out = np.cumsum(np.concatenate(([vm._out_bytes], tb * counts)))
-        inc = np.cumsum(np.concatenate(([vm._in_bytes], tb)))
-        fits = tb * (counts + 1) <= (vm.capacity_bytes - (out[:-1] + inc[:-1])) + 1e-9
+        out = np.cumsum(np.concatenate(([self._out[b]], tb * counts)))
+        inc = np.cumsum(np.concatenate(([self._in[b]], tb)))
+        fits = tb * (counts + 1) <= (
+            self.capacity_bytes - (out[:-1] + inc[:-1])
+        ) + CAPACITY_SLACK
         placed = t.size if fits.all() else int(np.argmin(fits))
         if placed == 0:
             return 0
 
         subs = np.asarray(subscribers, dtype=np.int64)
-        chunks = [subs[a:b] for a, b in zip(lo[:placed].tolist(), hi[:placed].tolist())]
+        lo, hi = lo[:placed], hi[:placed]
         if subs.flags.writeable:
-            chunks = [chunk.copy() for chunk in chunks]
-            for chunk in chunks:
-                chunk.setflags(write=False)
-        topic_list = topic_list[:placed]
-        vm._pair_counts.update(zip(topic_list, counts[:placed].tolist()))
-        vm._out_bytes = float(out[placed])
-        vm._in_bytes = float(inc[placed])
-        self._used[vm_index] = vm.used_bytes
-        topic_vms = self._topic_vms
-        for topic in topic_list:
-            topic_vms.setdefault(topic, []).append(vm_index)
-        self._members.update(
-            ((vm_index, topic), [chunk]) for topic, chunk in zip(topic_list, chunks)
-        )
-        self._num_pairs += int(counts[:placed].sum())
-        self._mutations += 1
+            sizes = counts[:placed]
+            offsets = np.cumsum(sizes) - sizes
+            subs = subs[np.repeat(lo - offsets, sizes) + np.arange(int(sizes.sum()))]
+            subs.setflags(write=False)
+            lo, hi = offsets, offsets + sizes
+        self._append((out[placed], inc[placed]), b, b, t[:placed], subs, lo, hi)
         return placed
-
-    def remove_range(
-        self, vm_index: int, topic: int, subscribers: np.ndarray
-    ) -> None:
-        """Batch-remove pairs ``(topic, v) for v in subscribers`` from a VM.
-
-        The removal mirror of :meth:`assign_range`: one membership mask
-        over the group's flattened chunks, one O(1) accounting update.
-        Public surgery primitive for tooling that maintains a *live*
-        placement under churn (the bundled reprovisioner instead keeps
-        flat pair arrays and re-materializes via
-        :meth:`from_pair_arrays`, because its referee renumbers VMs
-        every epoch).  ``subscribers`` must be distinct and all
-        currently assigned to ``(vm_index, topic)`` -- a ``ValueError``
-        means the caller's bookkeeping has diverged from the placement,
-        so it must never pass silently.
-        """
-        subs = np.asarray(subscribers, dtype=np.int64)
-        if subs.size == 0:
-            return
-        topic = int(topic)
-        chunks = self._members.get((vm_index, topic))
-        if not chunks:
-            raise ValueError(
-                f"VM {vm_index} hosts no pairs of topic {topic}"
-            )
-        flat = self._group_members(chunks)
-        keep = ~np.isin(flat, subs)
-        removed = int(flat.size - int(keep.sum()))
-        if removed != subs.size or np.unique(subs).size != subs.size:
-            raise ValueError(
-                f"not all listed subscribers of topic {topic} are assigned "
-                f"to VM {vm_index} (or duplicates were passed)"
-            )
-        vm = self._vms[vm_index]
-        vm.remove_pairs(topic, self.topic_bytes(topic), removed)
-        self._used[vm_index] = vm.used_bytes
-        if removed < flat.size:
-            kept = flat[keep]
-            kept.setflags(write=False)
-            self._members[(vm_index, topic)] = [kept]
-        else:
-            del self._members[(vm_index, topic)]
-            hosting = self._topic_vms[topic]
-            hosting.remove(vm_index)
-            if not hosting:
-                del self._topic_vms[topic]
-        self._num_pairs -= removed
-        self._mutations += 1
-
-    def remove_topic(self, vm_index: int, topic: int) -> np.ndarray:
-        """Evict a whole topic group from a VM; returns its subscribers.
-
-        Batch eviction primitive for live-placement tooling (see
-        :meth:`remove_range`): the VM stops ingesting the topic and the
-        freed pairs can re-enter through :meth:`assign_range` elsewhere.
-        """
-        topic = int(topic)
-        chunks = self._members.get((vm_index, topic))
-        if not chunks:
-            raise ValueError(f"VM {vm_index} hosts no pairs of topic {topic}")
-        members = self._group_members(chunks)
-        vm = self._vms[vm_index]
-        vm.remove_pairs(topic, self.topic_bytes(topic), int(members.size))
-        self._used[vm_index] = vm.used_bytes
-        del self._members[(vm_index, topic)]
-        hosting = self._topic_vms[topic]
-        hosting.remove(vm_index)
-        if not hosting:
-            del self._topic_vms[topic]
-        self._num_pairs -= int(members.size)
-        self._mutations += 1
-        return members
 
     def topic_bytes(self, topic: int) -> float:
         """Byte rate of one copy of a topic's event stream."""
@@ -489,133 +475,164 @@ class Placement:
     # -- views -----------------------------------------------------------
     @property
     def vms(self) -> Sequence[VirtualMachine]:
-        """The VM fleet ``B`` (read-only view)."""
-        return tuple(self._vms)
+        """The VM fleet ``B`` (read-only views)."""
+        return tuple(VirtualMachine(self, b) for b in range(self.num_vms))
 
     def vm(self, vm_index: int) -> VirtualMachine:
         """O(1) access to one VM (no fleet tuple materialization)."""
-        return self._vms[vm_index]
+        return VirtualMachine(self, self._vm_index(vm_index))
 
     @property
     def num_vms(self) -> int:
         """``|B|``."""
-        return len(self._vms)
+        return len(self._out)
+
+    @property
+    def mutations(self) -> int:
+        """How many appends placed pairs (each adopts one subscriber array)."""
+        return len(self._arrays)
 
     def used_bytes_array(self) -> np.ndarray:
-        """Per-VM ``bw_b`` as one float64 vector (read-only view)."""
-        view = self._used[: len(self._vms)].view()
-        view.setflags(write=False)
-        return view
+        """Per-VM ``bw_b = out + in`` as a fresh float64 vector."""
+        return np.frombuffer(self._out) + np.frombuffer(self._in)
 
     def free_bytes_array(self) -> np.ndarray:
         """Per-VM ``BC - bw_b`` as a fresh float64 vector (a snapshot)."""
-        return self.capacity_bytes - self._used[: len(self._vms)]
+        used = self.used_bytes_array()
+        return np.subtract(self.capacity_bytes, used, out=used)
+
+    def _topic_hosts(self, topic: int) -> List[int]:
+        """The VMs hosting ``topic``, newest first (its group chain)."""
+        groups, hosts = self._groups, []
+        row = 4 * self._last_host.get(int(topic), -1)
+        # repolint: allow(VL01): walks one topic's chain -- its replicas, a handful of VMs
+        while row >= 0:
+            hosts.append(groups[row + _VM])
+            row = 4 * groups[row + _PREV]
+        return hosts
 
     def hosts_mask(self, topic: int) -> np.ndarray:
         """Boolean vector over VMs: does VM ``b`` ingest ``topic``?"""
-        mask = np.zeros(len(self._vms), dtype=bool)
-        hosting = self._topic_vms.get(int(topic))
-        if hosting:
-            mask[hosting] = True
+        mask = np.zeros(len(self._out), dtype=bool)
+        mask[self._topic_hosts(topic)] = True
         return mask
 
     def hosting_vms(self, topic: int) -> List[int]:
         """Indices of the VMs ingesting ``topic``, in first-host order."""
-        return list(self._topic_vms.get(int(topic), ()))
+        return self._topic_hosts(topic)[::-1]
+
+    def topic_replicas(self, topic: int) -> int:
+        """Number of VMs ingesting ``topic`` (replication degree)."""
+        return len(self._topic_hosts(topic))
 
     @property
     def total_bytes(self) -> float:
         """``sum(bw_b)`` in bytes per time unit."""
-        return float(self._used[: len(self._vms)].sum())
+        return float(self.used_bytes_array().sum())
 
     @property
     def total_outgoing_bytes(self) -> float:
         """Aggregate outgoing byte rate over the fleet."""
-        return sum(vm.outgoing_bytes for vm in self._vms)
+        return sum(self._out)
 
     @property
     def total_incoming_bytes(self) -> float:
         """Aggregate incoming byte rate over the fleet."""
-        return sum(vm.incoming_bytes for vm in self._vms)
+        return sum(self._in)
 
     @property
     def num_pairs(self) -> int:
         """Total number of assigned pairs."""
         return self._num_pairs
 
-    def _group_members(self, chunks: List[np.ndarray]) -> np.ndarray:
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    def vm_topics(self, vm_index: int) -> List[int]:
+        """Distinct topics hosted on a VM, in first-host order."""
+        groups = _rows(self._groups, 4)
+        return groups[groups[:, _VM] == self._vm_index(vm_index), _TOPIC].tolist()
 
     def members(self, vm_index: int, topic: int) -> List[int]:
         """Subscribers of ``topic`` served from VM ``vm_index``."""
-        chunks = self._members.get((vm_index, topic))
-        if not chunks:
+        g = self._group_of.get(vm_index * self._num_topics + topic)
+        if g is None:
             return []
-        return self._group_members(chunks).tolist()
-
-    def vm_topics(self, vm_index: int) -> List[int]:
-        """Distinct topics hosted on a VM."""
-        return list(self._vms[vm_index].topics)
-
-    def topic_replicas(self, topic: int) -> int:
-        """Number of VMs ingesting ``topic`` (replication degree)."""
-        return len(self._topic_vms.get(int(topic), ()))
+        _, _, sizes, subscribers = self.assignment_arrays()
+        start = self._flat_cache[2][g]
+        return subscribers[start:start + sizes[g]].tolist()
 
     def iter_assignments(self) -> Iterator[Tuple[int, int, List[int]]]:
-        """Yield ``(vm_index, topic, subscribers)`` triples."""
-        for (b, t), chunks in self._members.items():
-            yield b, t, self._group_members(chunks).tolist()
+        """Yield ``(vm_index, topic, subscribers)`` triples, one per
+        (vm, topic) group in first-appearance order."""
+        vm_ids, topics, sizes, subscribers = self.assignment_arrays()
+        offsets = self._flat_cache[2]
+        # repolint: allow(VL01): the contract is one (vm, topic, subscribers) triple per group
+        for b, t, start, size in zip(
+            vm_ids.tolist(), topics.tolist(), offsets.tolist(), sizes.tolist()
+        ):
+            yield b, t, subscribers[start:start + size].tolist()
 
     def assignment_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The assignments as flat arrays (vectorized-validator view).
 
         Returns ``(vm_ids, topics, sizes, subscribers)``: one entry per
-        (vm, topic) group in :meth:`iter_assignments` order, plus the
-        concatenated subscriber ids (group-major).  Cached until the
-        next :meth:`assign`, so repeated audits of a finished placement
-        flatten the chunk lists only once.
+        (vm, topic) group in :meth:`iter_assignments` order, read off
+        the group table, plus the group-major subscriber ids
+        (read-only): one concatenate over the runs of the chunk log --
+        for a placement built by :meth:`from_pair_arrays`, the adopted
+        array itself.  Cached, with each group's offset, until the next
+        append.
         """
-        cached = self._flat_cache
-        if cached is not None and cached[0] == self._mutations:
-            return cached[1]
-        groups = len(self._members)
-        vm_ids = np.empty(groups, dtype=np.int64)
-        topics = np.empty(groups, dtype=np.int64)
-        sizes = np.empty(groups, dtype=np.int64)
-        chunks: List[np.ndarray] = []
-        for g, ((b, t), group) in enumerate(self._members.items()):
-            arr = self._group_members(group)
-            vm_ids[g] = b
-            topics[g] = t
-            sizes[g] = arr.size
-            chunks.append(arr)
-        subscribers = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        if self._flat_cache is not None and self._flat_cache[0] == len(self._arrays):
+            return self._flat_cache[1]
+        groups = _rows(self._groups, 4)
+        chunks = _rows(self._chunks, 4)
+        # Order the log group-major (stably: a group's chunks keep their
+        # append order) and take one slice per run continuing one array.
+        chunks = chunks[np.argsort(chunks[:, _GROUP], kind="stable")]
+        head = np.ones(len(chunks), dtype=bool)
+        head[1:] = (chunks[1:, _ARRAY] != chunks[:-1, _ARRAY]) | (
+            chunks[1:, _LO] != chunks[:-1, _HI]
         )
-        arrays = (vm_ids, topics, sizes, subscribers)
-        self._flat_cache = (self._mutations, arrays)
-        return arrays
+        spans = zip(
+            chunks[head, _ARRAY].tolist(),
+            chunks[head, _LO].tolist(),
+            chunks[np.roll(head, -1), _HI].tolist(),
+        )
+        runs = [self._arrays[a][lo:hi] for a, lo, hi in spans]
+        empty = [np.empty(0, dtype=np.int64)]
+        subscribers = runs[0] if len(runs) == 1 else np.concatenate(runs + empty)
+        subscribers.setflags(write=False)
+        sizes = groups[:, _COUNT].copy()
+        flat = (groups[:, _VM].copy(), groups[:, _TOPIC].copy(), sizes, subscribers)
+        self._flat_cache = (len(self._arrays), flat, np.cumsum(sizes) - sizes)
+        return flat
+
+    def _distinct_pairs(self, by_subscriber: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct pairs as sorted ``(topics, subscribers)``, or as
+        sorted ``(subscribers, topics)`` when ``by_subscriber``."""
+        _, topics, sizes, subscribers = self.assignment_arrays()
+        major, minor = np.repeat(topics, sizes), subscribers
+        if by_subscriber:
+            major, minor = minor, major
+        span = int(minor.max()) + 1 if minor.size else 1
+        keys = np.unique(major * span + minor)
+        return keys // span, keys % span
 
     def topics_by_subscriber(self) -> Dict[int, List[int]]:
         """``subscriber -> distinct topics delivered`` over the fleet.
 
         A pair assigned to several VMs (allowed by Equation (3)'s
-        ``max_b``) counts once.
+        ``max_b``) counts once.  Subscribers come in ascending order,
+        each with its topics sorted.
         """
-        seen: Dict[int, set] = {}
-        for (_, t), chunks in self._members.items():
-            for v in self._group_members(chunks).tolist():
-                seen.setdefault(v, set()).add(t)
-        return {v: sorted(topics) for v, topics in seen.items()}
+        v, t = self._distinct_pairs(by_subscriber=True)
+        subs, starts = np.unique(v, return_index=True)
+        ends, t = np.append(starts[1:], v.size).tolist(), t.tolist()
+        return {s: t[a:z] for s, a, z in zip(subs.tolist(), starts.tolist(), ends)}
 
     def to_selection(self) -> PairSelection:
         """Collapse the placement back into the distinct pair set."""
-        by_topic: Dict[int, set] = {}
-        for (_, t), chunks in self._members.items():
-            by_topic.setdefault(t, set()).update(
-                self._group_members(chunks).tolist()
-            )
-        return PairSelection({t: sorted(s) for t, s in by_topic.items()})
+        topics, subscribers = self._distinct_pairs(by_subscriber=False)
+        return PairSelection.from_csr(topics, None, subscribers, trusted=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

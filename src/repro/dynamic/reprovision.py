@@ -80,6 +80,7 @@ import numpy as np
 
 from ..bounds import lower_bound
 from ..core import MCSSProblem, Pair, PairSelection, Placement, SolutionCost
+from ..core.placement import CAPACITY_SLACK
 from ..core.segsearch import sorted_member as _sorted_member
 from ..selection import GreedySelectPairs
 from ..solver import MCSSSolver
@@ -591,8 +592,8 @@ class IncrementalReprovisioner:
         """Assign a pair stream to VMs with the referee's rule, via two heaps.
 
         The rule, per pair of topic ``t`` with ``tb`` bytes: a VM fits
-        when ``tb <= free + 1e-9`` if it hosts ``t`` and ``2 * tb <= free
-        + 1e-9`` otherwise; among fitting VMs take the highest score
+        when ``tb`` (``2 * tb`` if it does not host ``t``) is ``<= free +
+        CAPACITY_SLACK``; among fitting VMs take the highest score
         ``free + capacity * hosts(t)``, lowest index on ties; if none
         fits, open a VM.  Two lazy heaps find that VM in O(log V):
 
@@ -663,7 +664,7 @@ class IncrementalReprovisioner:
             hheap = [
                 (-(capacity - used_l[b] + capacity), b)
                 for b in hosts
-                if tb <= capacity - used_l[b] + 1e-9
+                if tb <= capacity - used_l[b] + CAPACITY_SLACK
             ]
             heapq.heapify(hheap)
             # repolint: allow(VL01): sequential placement -- each pair's choice depends on the previous pair's update
@@ -675,7 +676,7 @@ class IncrementalReprovisioner:
                     key, b = hheap[0]
                     examined += 1
                     f = capacity - used_l[b]
-                    if key == -(f + capacity) and tb <= f + 1e-9:
+                    if key == -(f + capacity) and tb <= f + CAPACITY_SLACK:
                         a, score_a = b, -key
                         break
                     heapq.heappop(hheap)
@@ -688,7 +689,7 @@ class IncrementalReprovisioner:
                     f = capacity - used_l[b]
                     if key != -f:
                         heapq.heappop(fleet)
-                    elif (a >= 0 and f < score_a) or not tb2 <= f + 1e-9:
+                    elif (a >= 0 and f < score_a) or not tb2 <= f + CAPACITY_SLACK:
                         break
                     elif b in hosts:
                         skipped.append(heapq.heappop(fleet))

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import MCSSProblem, PairSelection, Placement
+from ..core.placement import CAPACITY_SLACK, pairs_that_fit
 from ..pricing import PricingPlan
 from .base import PackingAlgorithm, register_packer
 
@@ -109,8 +110,7 @@ class CBPOptions:
 
 def _pairs_per_fresh_vm(capacity_bytes: float, topic_bytes: float) -> int:
     """How many pairs of one topic fit on a fresh VM (incl. its ingest)."""
-    fit = int((capacity_bytes + 1e-9 - topic_bytes) // topic_bytes)
-    return max(fit, 0)
+    return pairs_that_fit(capacity_bytes, topic_bytes, new_topic=True)
 
 
 #: Fleet size below which the per-VM scans run as scalar Python loops
@@ -135,22 +135,35 @@ _GALLOP_AFTER = 16
 
 
 def _fleet_fits(
-    placement: Placement, topic: int, topic_bytes: float
-) -> "tuple[np.ndarray, np.ndarray]":
+    placement: Placement, topic: int, topic_bytes: float, exact: bool = False
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Per-VM pair budgets for one topic, as whole-array arithmetic.
 
-    Returns ``(fit, hosts)``: how many further pairs of ``topic`` each
-    deployed VM can accept (charging the one-off incoming copy to VMs
-    not yet hosting it), and the hosts-topic mask.  Mirrors
-    :meth:`VirtualMachine.max_new_pairs` element for element.
+    Returns ``(free, fit, hosts)``: the free-bytes array, how many
+    further pairs of ``topic`` each deployed VM can accept (charging
+    the one-off incoming copy to VMs not yet hosting it), and the
+    hosts-topic mask.  ``fit`` is the floor of each VM's rounded budget,
+    the estimate of Algorithm 7's simulation and its referee.  With
+    ``exact`` -- for pairs that are then really assigned -- it is
+    lowered where that floor fails the exact fit test, mirroring
+    :func:`~repro.core.placement.pairs_that_fit` (and so
+    :meth:`VirtualMachine.max_new_pairs`) element for element.
     """
     free = placement.free_bytes_array()
     hosts = placement.hosts_mask(topic)
-    budget = free + 1e-9 - np.where(hosts, 0.0, topic_bytes)
+    limit = free + CAPACITY_SLACK
+    budget = limit - np.where(hosts, 0.0, topic_bytes)
     with np.errstate(invalid="ignore"):
         fit = np.floor_divide(budget, topic_bytes).astype(np.int64)
     fit[budget < topic_bytes] = 0
-    return fit, hosts
+    if exact:
+        new = (~hosts).astype(np.int64)
+        over = (fit > 0) & (topic_bytes * (fit + new) > limit)
+        # repolint: allow(VL01): one masked pass per pair the rounding overshoots by, not per VM
+        while over.any():
+            fit[over] -= 1
+            over = (fit > 0) & (topic_bytes * (fit + new) > limit)
+    return free, fit, hosts
 
 
 def cheaper_to_distribute(
@@ -215,7 +228,7 @@ def cheaper_to_distribute(
         for free, hosts in room:
             if left == 0:
                 break
-            budget = free + 1e-9 - (0.0 if hosts else topic_bytes)
+            budget = free + CAPACITY_SLACK - (0.0 if hosts else topic_bytes)
             fit = int(budget // topic_bytes) if budget >= topic_bytes else 0
             if fit <= 0:
                 continue
@@ -226,8 +239,8 @@ def cheaper_to_distribute(
         # Whole-array kernel: one stable descending argsort over the
         # free-bytes array, a cumsum of per-VM budgets, and one
         # searchsorted for the covering prefix.
-        fit, hosts = _fleet_fits(placement, topic, topic_bytes)
-        order = np.argsort(-placement.free_bytes_array(), kind="stable")
+        free, fit, hosts = _fleet_fits(placement, topic, topic_bytes)
+        order = np.argsort(-free, kind="stable")
         fit_sorted = fit[order]
         takers = fit_sorted > 0
         fits = fit_sorted[takers]
@@ -398,13 +411,13 @@ class CustomBinPacking(PackingAlgorithm):
                         break
             return remaining
 
-        fit, _ = _fleet_fits(placement, topic, topic_bytes)
+        free, fit, _ = _fleet_fits(placement, topic, topic_bytes, exact=True)
         if self.options.most_free_vm_first:
             # Lines 9/14: most-free first, ties by VM index -- the exact
             # pop order of the referee's lazy max-heap.  The scan stops
             # at the first VM that cannot take a single pair: if the
             # most-free VM is full for this topic, so is every one after.
-            order = np.argsort(-placement.free_bytes_array(), kind="stable")
+            order = np.argsort(-free, kind="stable")
             order = order[order != current]
             fit_sorted = fit[order]
             blocked = np.flatnonzero(fit_sorted <= 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -173,12 +175,19 @@ class TestRunBatching:
         # current VM.  Placing those runs through assign_groups windows
         # keeps Placement mutations to a small fraction of the topics,
         # with the same placement as the cbp-loop referee.
+        # The columnar Placement leaves O(VMs) GC-tracked objects, not
+        # containers per (vm, topic) group.
         trace = TwitterWorkloadGenerator(TwitterConfig(num_users=20_000)).generate(seed=3)
         workload = trace.workload
         problem = MCSSProblem(workload, 100.0, make_plan("c3.large", workload))
         selection = GreedySelectPairs().select(problem)
+        gc.collect()
+        before = len(gc.get_objects())
         placement = CustomBinPacking().pack(problem, selection)
+        gc.collect()
+        left = len(gc.get_objects()) - before
         assert selection.num_topics > 5000
-        assert placement._mutations <= 0.10 * selection.num_topics
+        assert placement.mutations <= 0.10 * selection.num_topics
+        assert left <= 2 * placement.num_vms + 64, left
         loop = LoopCustomBinPacking().pack(problem, selection)
         assert diff_placements(placement, loop) is None

@@ -1,90 +1,128 @@
-"""Unit tests for repro.core.placement (VirtualMachine, Placement)."""
+"""Unit tests for repro.core.placement (Placement and its VM views)."""
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
 
-from repro.core import CapacityError, Placement, VirtualMachine, Workload
+from repro.core import CapacityError, Placement, Workload
 
 
-class TestVirtualMachine:
+def _one_vm(capacity):
+    """A one-VM placement over topics of 10, 5 and 1 B per event copy."""
+    w = Workload([10.0, 5.0, 1.0], [[0, 1, 2]] * 4, message_size_bytes=1.0)
+    p = Placement(w, capacity)
+    return p, p.new_vm()
+
+
+class TestVirtualMachineView:
+    """The per-VM accounting and fit tests, read through Placement.vm."""
+
     def test_initial_state(self):
-        vm = VirtualMachine(100.0)
+        p, b = _one_vm(100.0)
+        vm = p.vm(b)
         assert vm.used_bytes == 0
         assert vm.free_bytes == 100.0
         assert vm.num_pairs == 0
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            VirtualMachine(0)
-
-    def test_add_pairs_accounting(self):
-        vm = VirtualMachine(100.0)
-        vm.add_pairs(topic=7, topic_bytes=10.0, count=3)
+    def test_assign_accounting(self):
+        p, b = _one_vm(100.0)
+        p.assign(b, 0, [0, 1, 2])
+        vm = p.vm(b)
         # 3 outgoing copies + 1 incoming copy = 40 bytes.
         assert vm.outgoing_bytes == 30.0
         assert vm.incoming_bytes == 10.0
         assert vm.used_bytes == 40.0
-        assert vm.pair_count(7) == 3
-        assert vm.hosts_topic(7)
+        assert vm.pair_count(0) == 3
+        assert vm.pair_count(1) == 0
+        assert vm.num_pairs == 3
+        assert vm.hosts_topic(0) and not vm.hosts_topic(1)
 
     def test_second_batch_same_topic_no_extra_ingest(self):
-        vm = VirtualMachine(100.0)
-        vm.add_pairs(7, 10.0, 2)
-        vm.add_pairs(7, 10.0, 1)
-        assert vm.incoming_bytes == 10.0
-        assert vm.outgoing_bytes == 30.0
+        p, b = _one_vm(100.0)
+        p.assign(b, 0, [0, 1])
+        p.assign(b, 0, [2])
+        assert p.vm(b).incoming_bytes == 10.0
+        assert p.vm(b).outgoing_bytes == 30.0
+        assert p.vm(b).pair_count(0) == 3
 
     def test_different_topics_ingest_separately(self):
-        vm = VirtualMachine(100.0)
-        vm.add_pairs(1, 10.0, 1)
-        vm.add_pairs(2, 5.0, 1)
-        assert vm.incoming_bytes == 15.0
-        assert sorted(vm.topics) == [1, 2]
+        p, b = _one_vm(100.0)
+        p.assign(b, 1, [0])
+        p.assign(b, 0, [0])
+        assert p.vm(b).incoming_bytes == 15.0
+        assert p.vm(b).topics == [1, 0]  # first-host order
 
     def test_capacity_enforced(self):
-        vm = VirtualMachine(30.0)
+        p, b = _one_vm(30.0)
         with pytest.raises(CapacityError):
-            vm.add_pairs(0, 10.0, 3)  # needs 40
+            p.assign(b, 0, [0, 1, 2])  # needs 40
+        assert p.vm(b).used_bytes == 0.0 and p.num_pairs == 0
 
     def test_exact_fill_allowed(self):
-        vm = VirtualMachine(40.0)
-        vm.add_pairs(0, 10.0, 3)  # exactly 40
-        assert vm.free_bytes == pytest.approx(0.0)
+        p, b = _one_vm(40.0)
+        p.assign(b, 0, [0, 1, 2])  # exactly 40
+        assert p.vm(b).free_bytes == pytest.approx(0.0)
 
-    def test_zero_count_rejected(self):
-        vm = VirtualMachine(10.0)
-        with pytest.raises(ValueError):
-            vm.add_pairs(0, 1.0, 0)
+    def test_zero_count_group_rejected(self):
+        p, b = _one_vm(100.0)
+        flat = np.asarray([0, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="at least one"):
+            p.assign_groups(b, np.asarray([0, 1]), np.asarray([0, 1]), np.asarray([1, 1]), flat)
+        assert p.num_pairs == 0
 
     def test_fits_accounts_for_new_topic(self):
-        vm = VirtualMachine(25.0)
+        p, b = _one_vm(25.0)
+        vm = p.vm(b)
         assert vm.fits(10.0, 1, new_topic=True)  # 20 <= 25
         assert not vm.fits(10.0, 2, new_topic=True)  # 30 > 25
-        vm.add_pairs(0, 10.0, 1)
+        p.assign(b, 0, [0])
         assert not vm.fits(10.0, 1, new_topic=True)  # 20 > 5 free
         # Existing topic: only the outgoing copy is charged... still no.
         assert not vm.fits(10.0, 1, new_topic=False)
 
     def test_max_new_pairs_new_topic(self):
-        vm = VirtualMachine(35.0)
+        p, b = _one_vm(35.0)
         # Ingest eats 10, leaving 25 -> 2 pairs of 10.
-        assert vm.max_new_pairs(10.0, already_hosted=False) == 2
+        assert p.vm(b).max_new_pairs(10.0, already_hosted=False) == 2
 
     def test_max_new_pairs_hosted_topic(self):
-        vm = VirtualMachine(35.0)
-        vm.add_pairs(0, 10.0, 1)  # uses 20
-        assert vm.max_new_pairs(10.0, already_hosted=True) == 1
+        p, b = _one_vm(35.0)
+        p.assign(b, 0, [0])  # uses 20
+        assert p.vm(b).max_new_pairs(10.0, already_hosted=True) == 1
 
     def test_max_new_pairs_zero_when_too_full(self):
-        vm = VirtualMachine(15.0)
-        assert vm.max_new_pairs(10.0, already_hosted=False) == 0
+        p, b = _one_vm(15.0)
+        assert p.vm(b).max_new_pairs(10.0, already_hosted=False) == 0
+
+    def test_max_new_pairs_agrees_with_fits_at_a_rounding_edge(self):
+        # The floor of the rounded budget is 4 here, but 4 pairs plus
+        # the ingest copy exceed the exact fit test: CBP's _fill_vm and
+        # the cbp-loop referee used to raise CapacityError on it.
+        w = Workload([2.1347104300198896, 2.0592506423356225], [[0, 1]] * 4, 1.0)
+        p = Placement(w, 20.96980536077756)
+        b = p.new_vm()
+        p.assign(b, 0, [0, 1, 2, 3])
+        n = p.vm(b).max_new_pairs(p.topic_bytes(1), already_hosted=False)
+        assert n == 3
+        assert p.vm(b).fits(p.topic_bytes(1), n, new_topic=True)
+        assert not p.vm(b).fits(p.topic_bytes(1), n + 1, new_topic=True)
+        p.assign(b, 1, [0, 1, 2])
 
     def test_addition_cost(self):
-        vm = VirtualMachine(100.0)
-        assert vm.addition_cost_bytes(10.0, 2, new_topic=True) == 30.0
-        assert vm.addition_cost_bytes(10.0, 2, new_topic=False) == 20.0
+        p, b = _one_vm(100.0)
+        assert p.vm(b).addition_cost_bytes(10.0, 2, new_topic=True) == 30.0
+        assert p.vm(b).addition_cost_bytes(10.0, 2, new_topic=False) == 20.0
+
+    def test_vm_index_bounds(self):
+        p, b = _one_vm(100.0)
+        assert p.vm(-1).used_bytes == p.vm(b).used_bytes  # list-style indexing
+        with pytest.raises(IndexError):
+            p.vm(1)
+        with pytest.raises(IndexError):
+            p.assign(1, 0, [0])
 
 
 class TestPlacement:
@@ -166,62 +204,6 @@ class TestPlacement:
             Placement(tiny_workload, 0)
 
 
-class TestBatchRemoval:
-    """remove_range / remove_topic: the assign_range mirrors."""
-
-    def _placement(self, tiny_workload):
-        p = Placement(tiny_workload, 200.0)
-        a, b = p.new_vm(), p.new_vm()
-        p.assign(a, 0, [0, 1])
-        p.assign(a, 1, [0])
-        p.assign(b, 1, [1, 2])
-        return p, a, b
-
-    def test_remove_range_partial(self, tiny_workload):
-        p, a, _b = self._placement(tiny_workload)
-        before = p.vm(a).used_bytes
-        p.remove_range(a, 0, np.asarray([1]))
-        assert p.members(a, 0) == [0]
-        assert p.vm(a).pair_count(0) == 1
-        # One outgoing copy of topic 0 (rate 20) freed.
-        assert p.vm(a).used_bytes == pytest.approx(before - 20.0)
-        assert p.hosting_vms(0) == [a]  # still ingesting
-
-    def test_remove_range_empties_group(self, tiny_workload):
-        p, a, b = self._placement(tiny_workload)
-        p.remove_range(a, 1, np.asarray([0]))
-        assert p.members(a, 1) == []
-        assert not p.vm(a).hosts_topic(1)
-        assert p.hosting_vms(1) == [b]
-        assert p.num_pairs == 4
-
-    def test_remove_topic_returns_members(self, tiny_workload):
-        p, _a, b = self._placement(tiny_workload)
-        total_before = p.total_bytes
-        members = p.remove_topic(b, 1)
-        assert sorted(members.tolist()) == [1, 2]
-        assert p.vm(b).used_bytes == 0.0
-        # Two outgoing + one incoming copy of topic 1 (rate 10) freed.
-        assert p.total_bytes == pytest.approx(total_before - 30.0)
-
-    def test_remove_unassigned_raises(self, tiny_workload):
-        p, a, _b = self._placement(tiny_workload)
-        with pytest.raises(ValueError):
-            p.remove_range(a, 0, np.asarray([2]))  # not on this VM
-        with pytest.raises(ValueError):
-            p.remove_range(a, 1, np.asarray([0, 0]))  # duplicates
-        with pytest.raises(ValueError):
-            p.remove_topic(a, 5)  # not hosted
-
-    def test_remove_then_reassign_roundtrip(self, tiny_workload):
-        p, a, b = self._placement(tiny_workload)
-        moved = p.remove_topic(a, 1)
-        p.assign_range(b, 1, moved)
-        assert sorted(p.members(b, 1)) == [0, 1, 2]
-        assert p.num_pairs == 5
-        assert p.hosting_vms(1) == [b]
-
-
 class TestFromPairArrays:
     def test_matches_incremental_construction(self, tiny_workload):
         manual = Placement(tiny_workload, 200.0)
@@ -252,6 +234,56 @@ class TestFromPairArrays:
         )
         assert padded.num_vms == 3
         assert padded.vm(1).num_pairs == 0
+
+    def test_hosting_order_and_chains(self, tiny_workload):
+        # Groups sorted by (vm, topic): topic 1 is first hosted on VM 0.
+        p = Placement.from_pair_arrays(
+            tiny_workload, 200.0,
+            np.asarray([2, 0, 1, 2, 0]),
+            np.asarray([1, 1, 0, 0, 0]),
+            np.asarray([0, 1, 2, 1, 0]),
+        )
+        assert p.hosting_vms(0) == [0, 1, 2]
+        assert p.hosting_vms(1) == [0, 2]
+        assert p.topic_replicas(0) == 3
+        assert p.vm_topics(0) == [0, 1]
+        assert p.hosts_mask(1).tolist() == [True, False, True]
+        # A later append extends the chains in first-host order.
+        p.new_vm()
+        p.assign(3, 1, [2])
+        assert p.hosting_vms(1) == [0, 2, 3]
+
+    def test_over_capacity_rejected(self, tiny_workload):
+        # Two topic-0 pairs on one VM: 2 * 20 out + 20 in = 60 B.
+        with pytest.raises(CapacityError):
+            Placement.from_pair_arrays(
+                tiny_workload, 59.0,
+                np.asarray([0, 0]), np.asarray([0, 0]), np.asarray([0, 1]),
+            )
+        exact = Placement.from_pair_arrays(
+            tiny_workload, 60.0,
+            np.asarray([0, 0]), np.asarray([0, 0]), np.asarray([0, 1]),
+        )
+        assert exact.vm(0).free_bytes == 0.0
+
+    def test_leaves_no_per_group_objects(self):
+        # The store is columns and int-keyed dicts: materializing
+        # thousands of groups leaves O(VMs) new GC-tracked objects (the
+        # per-(vm, topic) design left two per group).
+        rng = np.random.default_rng(5)
+        num_topics, num_vms = 700, 40
+        w = Workload(rng.integers(1, 50, num_topics).astype(float), [[0]], 1.0)
+        keys = rng.choice(num_topics * num_vms, 2500, replace=False)
+        vm_ids = np.repeat(keys // num_topics, 2)
+        topics = np.repeat(keys % num_topics, 2)
+        subs = rng.integers(0, 1000, vm_ids.size)
+        gc.collect()
+        before = len(gc.get_objects())
+        p = Placement.from_pair_arrays(w, 1e12, vm_ids, topics, subs, num_vms=num_vms)
+        gc.collect()
+        left = len(gc.get_objects()) - before
+        assert len(list(p.iter_assignments())) == 2500
+        assert left <= 2 * p.num_vms + 64, left
 
     def test_mismatched_arrays_rejected(self, tiny_workload):
         with pytest.raises(ValueError):
@@ -333,7 +365,9 @@ class TestNewVmsAndAssignRange:
         p.assign_range(b, 1, subs)
         _, _, _, flat = p.assignment_arrays()
         np.testing.assert_array_equal(flat, subs)
-        assert p.members(b, 1) == [1, 2]
+        subs.setflags(write=True)
+        subs[0] = 0  # visible through the placement: adopted, not copied
+        assert p.members(b, 1) == [0, 2]
 
     def test_assign_range_empty_is_a_noop(self, tiny_workload):
         p = Placement(tiny_workload, 200.0)
@@ -402,7 +436,15 @@ class TestAssignGroups:
         return (
             list(p.iter_assignments()),
             p.used_bytes_array().tobytes(),
-            [(vm.outgoing_bytes, vm.incoming_bytes, dict(vm._pair_counts)) for vm in p.vms],
+            [
+                (vm.outgoing_bytes, vm.incoming_bytes, vm.topics, vm.num_pairs)
+                for vm in p.vms
+            ],
+            [
+                [p.vm(b).pair_count(t) for t in range(p.workload.num_topics)]
+                for b in range(p.num_vms)
+            ],
+            tuple(a.tolist() for a in p.assignment_arrays()),
             {t: p.hosting_vms(t) for t in range(p.workload.num_topics)},
             p.num_pairs,
         )
@@ -456,10 +498,14 @@ class TestAssignGroups:
 
     def test_adopts_read_only_and_copies_writable(self):
         w, flat, topics, starts, ends = self._groups()
+        owned = flat.copy()  # owns its buffer, so it can be unlocked again
+        owned.setflags(write=False)
         adopted = Placement(w, 100.0)
         adopted.new_vm()
-        adopted.assign_groups(0, topics[:2], starts[:2], ends[:2], flat)
-        assert np.shares_memory(adopted._members[(0, 0)][0], flat)
+        adopted.assign_groups(0, topics[:2], starts[:2], ends[:2], owned)
+        owned.setflags(write=True)
+        owned[0] = 3  # visible through the placement: adopted, not copied
+        assert adopted.members(0, 0) == [3, 1]
 
         writable = flat.copy()
         copied = Placement(w, 100.0)
@@ -468,7 +514,8 @@ class TestAssignGroups:
         writable[:] = -1  # the caller's array stays the caller's
         assert copied.members(0, 0) == [0, 1]
         assert copied.members(0, 1) == [0]
-        assert not copied._members[(0, 1)][0].flags.writeable
+        assert copied.assignment_arrays()[3].tolist() == [0, 1, 0]
+        assert not copied.assignment_arrays()[3].flags.writeable
 
     def test_invalidates_assignment_arrays_cache(self):
         w, flat, topics, starts, ends = self._groups()

@@ -24,6 +24,10 @@ as executable specifications:
   few ULPs of capacity;
 * ``FFBinPacking`` (CSR pair enumeration + batch assigns)  ==
   ``LoopFFBinPacking`` (the ``ffbp-loop`` referee);
+* ``Placement.from_pair_arrays`` (one lexsort, ``np.bincount`` VM
+  bytes)  ==  a test-local copy of the per-group ``assign_range`` loop
+  it replaced -- bit for bit in used, outgoing and incoming bytes, on
+  shuffled pairs with non-integer rates up to 2**50 and empty VMs;
 * ``build_social_graph`` (whole-array CSR construction,
   multinomial-and-shuffle draws)  ~=  ``build_social_graph_loop`` (the
   retained per-user referee) -- *distributional* equivalence (KS-style
@@ -71,6 +75,7 @@ from hypothesis import strategies as st
 from repro.core import (
     MCSSProblem,
     PairSelection,
+    Placement,
     Workload,
     delivered_rate,
     delivered_rates,
@@ -81,6 +86,7 @@ from repro.core import (
     validate_placement,
     validate_placement_loop,
 )
+from repro.core.placement import pairs_that_fit
 from repro.packing import (
     CBPOptions,
     CustomBinPacking,
@@ -456,6 +462,170 @@ class TestCBPRunBatching:
                 for a, b in zip(fast.vms, loop.vms):
                     assert a.outgoing_bytes == b.outgoing_bytes, f"rung {rung}"
                     assert a.incoming_bytes == b.incoming_bytes, f"rung {rung}"
+
+
+@st.composite
+def pair_budget_fleets(draw):
+    """A fleet whose VMs each host one filler topic, some also the
+    probed topic, with non-integer rates so that every free-byte value
+    and pair budget rounds."""
+    num_vms = draw(st.integers(1, 8))
+    fill = draw(st.lists(st.floats(0.01, 5.0), min_size=num_vms, max_size=num_vms))
+    topic_bytes = draw(st.floats(0.01, 5.0))
+    capacity = draw(st.floats(0.05, 30.0))
+    hosts = draw(st.lists(st.booleans(), min_size=num_vms, max_size=num_vms))
+    workload = Workload(fill + [topic_bytes], [[0, 1]] * 2, message_size_bytes=1.0)
+    placement = Placement(workload, capacity)
+    for b in range(num_vms):
+        placement.new_vm()
+        vm = placement.vm(b)
+        if vm.fits(fill[b], 2, new_topic=True):
+            placement.assign(b, b, [0, 1])
+        if hosts[b] and vm.fits(topic_bytes, 1, new_topic=True):
+            placement.assign(b, num_vms, [0])
+    return placement, num_vms, topic_bytes
+
+
+class TestPairBudgets:
+    """Every pair budget that is assigned passes the exact fit test.
+
+    ``pairs_that_fit`` (``VirtualMachine.max_new_pairs``, so both CBP
+    and the ``cbp-loop`` referee) and the whole-array
+    ``_fleet_fits(..., exact=True)`` of CBP's spill floor a rounded
+    budget, which at a rounding edge can be one pair too many; both
+    must lower it identically.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_budget_fleets())
+    def test_fleet_fits_matches_scalar_and_fits(self, fleet):
+        from repro.packing.custom import _fleet_fits
+
+        placement, topic, topic_bytes = fleet
+        free, fit, hosts = _fleet_fits(placement, topic, topic_bytes, exact=True)
+        for b in range(placement.num_vms):
+            vm = placement.vm(b)
+            n = vm.max_new_pairs(topic_bytes, vm.hosts_topic(topic))
+            assert int(fit[b]) == n
+            assert bool(hosts[b]) == vm.hosts_topic(topic)
+            assert free[b] == vm.free_bytes
+            if n:
+                assert vm.fits(topic_bytes, n, new_topic=not hosts[b])
+
+    def test_rounding_edge_is_lowered_by_both_kernels(self):
+        from repro.packing.custom import _fleet_fits
+
+        # floor((free + slack - tb) / tb) is 4, but tb * 5 > free + slack.
+        w = Workload([2.1347104300198896, 2.0592506423356225], [[0, 1]] * 4, 1.0)
+        p = Placement(w, 20.96980536077756)
+        p.new_vm()
+        p.assign(0, 0, [0, 1, 2, 3])
+        tb = p.topic_bytes(1)
+        assert _fleet_fits(p, 1, tb, exact=True)[1].tolist() == [3]
+        assert _fleet_fits(p, 1, tb)[1].tolist() == [4]  # Algorithm 7's estimate
+        assert pairs_that_fit(p.vm(0).free_bytes, tb, new_topic=True) == 3
+
+
+class _PerGroupMaterialization:
+    """The per-group ``from_pair_arrays`` that the columnar store replaced.
+
+    Verbatim in its arithmetic: one lexsort groups the pairs by
+    ``(vm, topic)``, then one ``assign_range`` per group adds
+    ``out += tb * n`` and, for a topic new to the VM, ``in += tb``.
+    """
+
+    def __init__(self, workload, vm_ids, topics, subscribers, num_vms):
+        self.workload = workload
+        self.out = [0.0] * num_vms
+        self.inc = [0.0] * num_vms
+        self.used = np.zeros(num_vms)
+        self.pair_counts = [{} for _ in range(num_vms)]
+        self.topic_vms = {}
+        self.members = {}
+        self.num_pairs = 0
+        vm = np.ascontiguousarray(vm_ids, dtype=np.int64)
+        t = np.ascontiguousarray(topics, dtype=np.int64)
+        v = np.ascontiguousarray(subscribers, dtype=np.int64)
+        order = np.lexsort((t, vm))
+        s_vm, s_t, s_v = vm[order], t[order], v[order]
+        key = s_vm * np.int64(int(s_t.max()) + 1) + s_t
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        ends = np.append(starts[1:], s_vm.size)
+        for g in range(starts.size):
+            lo = int(starts[g])
+            self.assign_range(int(s_vm[lo]), int(s_t[lo]), s_v[lo:int(ends[g])])
+
+    def assign_range(self, vm_index, topic, subs):
+        topic_bytes = self.workload.event_rate(topic) * self.workload.message_size_bytes
+        count = int(subs.size)
+        counts = self.pair_counts[vm_index]
+        new_topic = topic not in counts
+        counts[topic] = counts.get(topic, 0) + count
+        self.out[vm_index] += topic_bytes * count
+        if new_topic:
+            self.inc[vm_index] += topic_bytes
+        self.used[vm_index] = self.out[vm_index] + self.inc[vm_index]
+        if new_topic:
+            self.topic_vms.setdefault(topic, []).append(vm_index)
+        self.members.setdefault((vm_index, topic), []).append(subs)
+        self.num_pairs += count
+
+
+@st.composite
+def pair_array_instances(draw):
+    """Shuffled per-pair arrays: several groups per VM, repeated topics
+    across VMs, trailing empty VMs, and non-integer rates up to 2**50
+    so that every running byte sum rounds."""
+    num_topics = draw(st.integers(1, 30))
+    rates = np.asarray(draw(st.lists(
+        st.floats(0.01, 9.0), min_size=num_topics, max_size=num_topics
+    ))) * draw(st.sampled_from([1.0, 3.0, 2.0 ** 50]))
+    msg = draw(st.sampled_from([1.0, 0.1, 7.3]))
+    num_vms = draw(st.integers(1, 12))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, num_vms - 1), st.integers(0, num_topics - 1),
+                  st.integers(0, 40)),
+        min_size=1, max_size=300, unique=True,
+    ))
+    order = draw(st.permutations(range(len(pairs))))
+    vm_ids, topics, subscribers = (
+        np.asarray([pairs[i][k] for i in order], dtype=np.int64) for k in range(3)
+    )
+    workload = Workload(rates, [list(range(num_topics))], message_size_bytes=msg)
+    return workload, vm_ids, topics, subscribers, num_vms + draw(st.integers(0, 3))
+
+
+class TestFromPairArraysExactness:
+    """``Placement.from_pair_arrays`` == the per-group loop it replaced.
+
+    The VM bytes are two ``np.bincount`` passes, which add the weights
+    into each bin in input order -- the same ``+=`` sequence as one
+    ``assign_range`` per group.  A pairwise reduction (``np.sum``,
+    ``np.add.reduceat``) would round differently on these inputs.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_array_instances())
+    def test_matches_per_group_assign_range(self, instance):
+        workload, vm_ids, topics, subscribers, num_vms = instance
+        ref = _PerGroupMaterialization(workload, vm_ids, topics, subscribers, num_vms)
+        p = Placement.from_pair_arrays(
+            workload, 1e300, vm_ids, topics, subscribers, num_vms=num_vms
+        )
+        assert list(p.iter_assignments()) == [
+            (b, t, np.concatenate(chunks).tolist())
+            for (b, t), chunks in ref.members.items()
+        ]
+        assert p.used_bytes_array().tobytes() == ref.used.tobytes()
+        assert [vm.outgoing_bytes for vm in p.vms] == ref.out
+        assert [vm.incoming_bytes for vm in p.vms] == ref.inc
+        assert [p.vm_topics(b) for b in range(num_vms)] == [
+            list(counts) for counts in ref.pair_counts
+        ]
+        assert {t: p.hosting_vms(t) for t in range(workload.num_topics)} == {
+            t: ref.topic_vms.get(t, []) for t in range(workload.num_topics)
+        }
+        assert p.num_pairs == ref.num_pairs
 
 
 class TestSharedSelectionEquivalence:

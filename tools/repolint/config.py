@@ -50,6 +50,7 @@ HOT_PATH_MODULES: "Tuple[str, ...]" = (
     "src/repro/dynamic/group_index.py",
     "src/repro/workloads/social.py",
     "src/repro/core/validation.py",
+    "src/repro/core/placement.py",
 )
 
 #: Seeded generators pinned by RF02: the draw entry points plus the
