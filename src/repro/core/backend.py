@@ -35,6 +35,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..resilience.integrity import atomic_write
+
 __all__ = ["ArrayBackend", "RamBackend", "MmapBackend", "AdoptBackend"]
 
 
@@ -134,5 +136,11 @@ class MmapBackend(ArrayBackend):
             return _frozen(arr)
         os.makedirs(self.cache_dir, exist_ok=True)
         path = os.path.join(self.cache_dir, f"{tag}.npy")
-        np.save(path, arr)
+        # Write-then-rename: forked workers that cache the same tag each
+        # publish a complete file, and a map another worker already
+        # holds keeps its own (unlinked) inode instead of being
+        # truncated underneath it.  Saved through the handle because
+        # np.save appends ".npy" to a bare temp name.
+        with atomic_write(path) as fh:
+            np.save(fh, arr)
         return np.load(path, mmap_mode="r")

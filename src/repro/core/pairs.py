@@ -47,6 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from .segsearch import first_duplicate_segment
 from .workload import Pair, Workload
 
 __all__ = ["PairSelection"]
@@ -179,14 +180,9 @@ class PairSelection:
             raise ValueError("subscribers length must equal indptr[-1]")
         if t.size and ((t < 0).any() or np.unique(t).size != t.size):
             raise ValueError("topics must be distinct non-negative ids")
-        if v.size:
-            group_idx = np.repeat(np.arange(t.size, dtype=np.int64), np.diff(ip))
-            order = np.lexsort((v, group_idx))
-            sv, sg = v[order], group_idx[order]
-            dup = (sv[1:] == sv[:-1]) & (sg[1:] == sg[:-1])
-            if dup.any():
-                g = int(sg[int(np.flatnonzero(dup)[0])])
-                raise ValueError(f"duplicate subscribers for topic {int(t[g])}")
+        g = first_duplicate_segment(ip, v)
+        if g >= 0:
+            raise ValueError(f"duplicate subscribers for topic {int(t[g])}")
 
     @classmethod
     def _from_pair_arrays(

@@ -17,15 +17,17 @@ The whole-population checks (:func:`delivered_rates`,
 NumPy reductions over flat ``(topic, subscriber)`` pair arrays rather
 than per-subscriber Python loops:
 
-1. each delivered pair ``(t, v)`` is located inside the workload's
-   per-subscriber-sorted CSR interests
-   (:meth:`repro.core.workload.Workload.sorted_interest_topics`) by a
-   *segmented* vectorized binary search -- ``O(log |Tv|)`` bisection
-   steps executed for all pairs at once;
-2. pairs outside the subscriber's interest simply find no slot and are
+1. each delivered pair ``(t, v)`` is packed into the key ``v * l +
+   t``; the keys are sorted and located with one ``np.searchsorted``
+   among the workload's own keys ``pair_subscribers() * l +
+   sorted_interest_topics()``
+   (:meth:`repro.core.workload.Workload.sorted_interest_topics`),
+   which are ascending by construction and built transiently, one
+   block of subscribers at a time;
+2. pairs outside the subscriber's interest find no equal key and are
    dropped (Equation (3) only sums over ``t in Tv``);
 3. duplicates (a topic delivered from several VMs counts once) are
-   collapsed by scattering onto the found pair slots -- no sort;
+   equal neighbours among the sorted keys and collapse to one;
 4. per-subscriber delivered rates are a single ``np.bincount`` with
    the topic rates as weights.
 
@@ -52,7 +54,6 @@ from typing import Iterable, List, Mapping, Set, Tuple
 import numpy as np
 
 from .pairs import PairSelection
-from .segsearch import segmented_left_search
 from .workload import Workload
 
 __all__ = [
@@ -102,6 +103,7 @@ def delivered_rate(
     rates = workload.event_rates
     seen: Set[int] = set()
     total = 0.0
+    # repolint: allow(VL01): scalar referee of the vectorized reductions (one subscriber, by design)
     for t in delivered_topics:
         if t in interest and t not in seen:
             seen.add(t)
@@ -109,16 +111,42 @@ def delivered_rate(
     return total
 
 
-def _segmented_find(
-    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Per-lane leftmost index ``i`` in ``[lo, hi)`` with ``values[i] >= target``.
+#: Subscribers per haystack block of :func:`_pair_member`.  Bounds the
+#: transient packed-key haystack to one block's pairs, so a forked
+#: validator over an out-of-core workload never builds a pair-sized key
+#: array (a block of the 124M-pair rung is about 25 MB).
+_BLOCK_SUBSCRIBERS = 1 << 18
 
-    ``values`` must be ascending inside every ``[lo, hi)`` window (the
-    per-subscriber sorted interests).  Returns ``hi`` when no element
-    qualifies.
+
+def _pair_member(workload: Workload, keys: np.ndarray) -> np.ndarray:
+    """Which sorted packed keys ``v * l + t`` are pairs of ``workload``.
+
+    The workload's own keys ``v * l + sorted_interest_topics()`` are
+    ascending by construction, so they are built transiently, one block
+    of subscribers at a time, and each block's needles (a contiguous
+    run of the sorted ``keys``) take one ``np.searchsorted``.
     """
-    return segmented_left_search(values, lo, hi, target, np.greater_equal)
+    num_topics = np.int64(workload.num_topics)
+    indptr = workload.interest_indptr
+    sorted_topics = workload.sorted_interest_topics()
+    n = workload.num_subscribers
+    block_lo = np.arange(0, n, _BLOCK_SUBSCRIBERS, dtype=np.int64)
+    cuts = np.searchsorted(keys, np.append(block_lo, n) * num_topics).tolist()
+    member = np.zeros(keys.size, dtype=bool)
+    # repolint: allow(VL01): one searchsorted per block of subscribers (bounds the haystack's memory)
+    for b, lo in enumerate(block_lo.tolist()):
+        hi = min(lo + _BLOCK_SUBSCRIBERS, n)
+        p_lo, p_hi = int(indptr[lo]), int(indptr[hi])
+        if cuts[b] == cuts[b + 1] or p_lo == p_hi:
+            continue
+        hay = np.repeat(
+            np.arange(lo, hi, dtype=np.int64) * num_topics, np.diff(indptr[lo : hi + 1])
+        )
+        hay += sorted_topics[p_lo:p_hi]
+        needles = keys[cuts[b] : cuts[b + 1]]
+        pos = np.minimum(np.searchsorted(hay, needles), hay.size - 1)
+        member[cuts[b] : cuts[b + 1]] = hay[pos] == needles
+    return member
 
 
 def delivered_rates_from_arrays(
@@ -147,27 +175,26 @@ def delivered_rates_from_arrays(
     if not valid.all():
         topics, subs = topics[valid], subs[valid]
 
-    # Locate each delivered pair inside the subscriber's sorted
-    # interest segment; misses (topic not in Tv) fall out naturally.
-    sorted_topics = workload.sorted_interest_topics()
-    indptr = workload.interest_indptr
-    lo = indptr[subs]
-    hi = indptr[subs + 1]
-    slot = _segmented_find(sorted_topics, lo, hi, topics)
-    slot_clipped = np.minimum(slot, sorted_topics.size - 1)
-    member = (slot < hi) & (sorted_topics[slot_clipped] == topics)
-
+    # Locate each delivered pair among the workload's pairs by its
+    # packed key; misses (topic not in Tv) fall out naturally.
+    keys = subs * np.int64(num_topics)
+    keys += topics
     if assume_unique:
+        # Hits keep their input order, so the bincount adds the same
+        # terms in the same order as a scan of the input would.
+        order = np.argsort(keys)
+        member = np.empty(keys.size, dtype=bool)
+        member[order] = _pair_member(workload, keys[order])
         hit_subs = subs[member]
         hit_topics = topics[member]
     else:
-        # Dedup by scattering onto the found pair slots: a pair slot is
-        # unique per (v, t), and scattering beats sorting the keys.
-        seen = np.zeros(sorted_topics.size, dtype=bool)
-        seen[slot_clipped[member]] = True
-        hits = np.flatnonzero(seen)
-        hit_subs = workload.pair_subscribers()[hits]
-        hit_topics = sorted_topics[hits]
+        # Dedup on the sorted keys: each distinct hit once, in the
+        # workload's subscriber-major pair order.
+        keys.sort()
+        hits = keys[_pair_member(workload, keys)]
+        hits = hits[np.diff(hits, prepend=-1) != 0]
+        hit_subs = hits // num_topics
+        hit_topics = hits - hit_subs * num_topics
     return np.bincount(
         hit_subs,
         weights=workload.event_rates[hit_topics],
@@ -185,6 +212,7 @@ def _mapping_to_pair_arrays(
     chunks: List[np.ndarray] = []
     owners: List[int] = []
     sizes: List[int] = []
+    # repolint: allow(VL01): mapping-API adapter, one np array per subscriber entry of the caller's dict
     for v, topics in topics_by_subscriber.items():
         if isinstance(topics, np.ndarray):
             arr = topics.astype(np.int64, copy=False)

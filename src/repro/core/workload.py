@@ -58,6 +58,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .backend import AdoptBackend, ArrayBackend, RamBackend
+from .segsearch import first_duplicate_segment, segments_ascend
 
 __all__ = ["Pair", "Workload", "WorkloadStats", "build_workload"]
 
@@ -180,7 +181,9 @@ class Workload:
         concatenated interests.  With ``validate=False`` the caller
         vouches that every topic id is in range and no subscriber lists
         a topic twice -- the same contract the positional constructor
-        enforces.
+        enforces.  ``validate=True`` checks both: the duplicate search
+        is one O(P) ascending pass when every subscriber's topics
+        already ascend, and one composite-key sort otherwise.
 
         ``backend`` picks the storage policy for the arrays (see
         :mod:`repro.core.backend`): the default
@@ -271,7 +274,13 @@ class Workload:
 
     @staticmethod
     def _validate_csr(num_topics: int, indptr: np.ndarray, flat: np.ndarray) -> None:
-        """Whole-array range and per-subscriber duplicate checks."""
+        """Whole-array range and per-subscriber duplicate checks.
+
+        The duplicate check is one O(P) ascending pass when every
+        subscriber's topics strictly ascend (what every bundled
+        generator and trace file emits); only other inputs pay a sort.
+        Errors name the smallest offending subscriber.
+        """
         bad = (flat < 0) | (flat >= num_topics)
         if bad.any():
             pos = int(np.flatnonzero(bad)[0])
@@ -280,16 +289,8 @@ class Workload:
                 f"subscriber {v} references a topic id outside "
                 f"[0, {num_topics})"
             )
-        # Duplicates: sort pairs by (subscriber, topic) and look for an
-        # equal neighbour within the same subscriber segment.
-        subs = np.repeat(
-            np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
-        )
-        order = np.lexsort((flat, subs))
-        st, ss = flat[order], subs[order]
-        dup = (st[1:] == st[:-1]) & (ss[1:] == ss[:-1])
-        if dup.any():
-            v = int(ss[int(np.flatnonzero(dup)[0]) + 1])
+        v = first_duplicate_segment(indptr, flat)
+        if v >= 0:
             raise WorkloadError(
                 f"subscriber {v} has duplicate topics in its interest"
             )
@@ -390,15 +391,18 @@ class Workload:
 
         The sorted-key form supports O(log P) vectorized membership
         tests ("is ``(t, v)`` one of the workload's pairs?") via
-        ``np.searchsorted`` -- the core primitive of the vectorized
-        satisfaction checks.  Empty when the workload has no topics.
+        ``np.searchsorted``.  When every subscriber's topics already
+        ascend, the subscriber-major keys are strictly ascending as
+        built and the sort is skipped.  Empty when the workload has no
+        topics.
         """
         cached = self._pair_keys
         if cached is None:
             if self.num_topics:
                 keys = self.pair_subscribers() * np.int64(self.num_topics)
-                keys = keys + self._flat_topics
-                keys = np.sort(keys)
+                keys += self._flat_topics
+                if not segments_ascend(self._indptr, self._flat_topics):
+                    keys.sort()
             else:
                 keys = np.empty(0, dtype=np.int64)
             cached = self._backend.cache("pair_keys", keys)
@@ -409,17 +413,16 @@ class Workload:
         """Flat interest topics, ascending *within* each subscriber.
 
         Shares :attr:`interest_indptr` with the raw CSR view; cached.
-        Per-subscriber sortedness turns interest-membership queries
-        ("is topic ``t`` in ``Tv``?") into a segmented binary search of
-        ``O(log |Tv|)`` steps -- the primitive behind the vectorized
-        satisfaction reductions.
+        Per-subscriber sortedness makes ``pair_subscribers() * l +
+        sorted_interest_topics()`` globally ascending -- the haystack
+        of the vectorized satisfaction reductions' membership test.
         """
         cached = self._sorted_csr_topics
         if cached is None:
             flat = self._flat_topics
             if self.num_topics == 0:
                 cached = np.empty(0, dtype=np.int64)
-            elif self._flat_is_subscriber_sorted():
+            elif segments_ascend(self._indptr, flat):
                 # Already ascending within every subscriber (true for
                 # every packed-key generator and v2 trace files): the
                 # raw CSR array *is* the sorted view.  Zero-copy --
@@ -434,22 +437,6 @@ class Workload:
                 cached = self._backend.cache("sorted_interest_topics", cached)
             object.__setattr__(self, "_sorted_csr_topics", cached)
         return cached
-
-    def _flat_is_subscriber_sorted(self) -> bool:
-        """Whether ``interest_topics`` is already ascending per subscriber.
-
-        One whole-array neighbor comparison: every descent position
-        must be a segment boundary (topics are distinct within a
-        subscriber, so in-segment order must be strictly ascending).
-        """
-        flat = self._flat_topics
-        if flat.size < 2:
-            return True
-        breaks = np.flatnonzero(flat[1:] <= flat[:-1]) + 1
-        if breaks.size == 0:
-            return True
-        pos = np.searchsorted(self._indptr, breaks)
-        return bool(np.all(self._indptr[np.minimum(pos, self._indptr.size - 1)] == breaks))
 
     def rate_descending_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pairs sorted subscriber-major with rates descending (cached).
@@ -573,6 +560,7 @@ class Workload:
         """Iterate over every ``(t, v)`` pair of the workload."""
         flat = self._flat_topics.tolist()
         subs = self.pair_subscribers().tolist()
+        # repolint: allow(VL01): tuple-iterator API; the hot paths read the CSR arrays instead
         for t, v in zip(flat, subs):
             yield (t, v)
 
@@ -723,6 +711,7 @@ def build_workload(
 
     subscriber_ids = sorted(subscriptions)
     interests: List[List[int]] = []
+    # repolint: allow(VL01): sparse-mapping entry point for user traces (generators use from_csr)
     for v in subscriber_ids:
         try:
             interests.append(sorted(topic_index[t] for t in subscriptions[v]))

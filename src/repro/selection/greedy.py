@@ -46,8 +46,8 @@ still-active subscribers:
 1. a vectorized segmented binary search finds, per subscriber, the
    next scan position whose rate fits the remaining need (the items
    jumped over are precisely the ones the loop would skip);
-2. because the global cumulative sum of sorted rates is strictly
-   increasing, one ``np.searchsorted`` then yields the *longest
+2. because the global cumulative sum of sorted rates never
+   decreases, one clipped ``np.searchsorted`` then yields the *longest
    chosen run* from that position -- the maximal stretch of
    consecutive items the sweep would take back to back;
 3. subscribers whose remaining need drops to zero retire; the rest
@@ -123,24 +123,6 @@ def _segmented_first_leq(
     lanes with no such index.
     """
     return segmented_left_search(values, lo, hi, target, np.less_equal)
-
-
-def _segmented_ascending_search(
-    values: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    target: np.ndarray,
-    *,
-    strict: bool,
-) -> np.ndarray:
-    """Leftmost index in ``[lo, hi)`` with ``values[i] > target`` (or ``>=``).
-
-    Same lane-parallel bisection as :func:`_segmented_first_leq`, but
-    over windows of *ascending* values (running sums, running counts).
-    """
-    return segmented_left_search(
-        values, lo, hi, target, np.greater if strict else np.greater_equal
-    )
 
 
 def _grouping_order(keys: np.ndarray) -> np.ndarray:
@@ -244,9 +226,12 @@ class GreedySelectPairs(SelectionAlgorithm):
             # (2) Longest chosen run from i: consecutive items are taken
             # while the running sum stays within the remaining need
             # (item i itself fits, so the search starts at i + 1).
+            # ``cums`` is non-decreasing over the whole array, so the
+            # first index in [i + 1, lim) past the target is the global
+            # searchsorted answer clipped into that window.
             base = np.where(i > 0, cums[i - 1], 0.0)
-            end = _segmented_ascending_search(
-                cums, i + 1, lim, rem + base + _EPS, strict=True
+            end = np.clip(
+                np.searchsorted(cums, rem + base + _EPS, side="right"), i + 1, lim
             )
             run_starts.append(i)
             run_ends.append(end)
@@ -326,9 +311,13 @@ class GreedySelectPairs(SelectionAlgorithm):
         if seg_lo.size == 0:
             return np.empty(0, dtype=np.int64)
 
-        # Last skipped position q -> minimal skipped rate rho.
-        q = _segmented_ascending_search(
-            skipped_cum, seg_lo, seg_hi, skipped_cum[seg_hi - 1], strict=False
+        # Last skipped position q -> minimal skipped rate rho
+        # (``skipped_cum`` is non-decreasing, so clipped global
+        # searchsorted answers the per-segment searches).
+        q = np.clip(
+            np.searchsorted(skipped_cum, skipped_cum[seg_hi - 1], side="left"),
+            seg_lo,
+            seg_hi,
         )
         rho = s_rates[q]
         # First position of the equal-rate range containing q.
@@ -337,8 +326,8 @@ class GreedySelectPairs(SelectionAlgorithm):
         # minimal-rate skips -- chosen items of the same rate precede
         # skipped ones inside an equal-rate range).
         before_j0 = np.where(j0 > 0, skipped_cum[j0 - 1], 0)
-        return _segmented_ascending_search(
-            skipped_cum, j0, seg_hi, before_j0, strict=True
+        return np.clip(
+            np.searchsorted(skipped_cum, before_j0, side="right"), j0, seg_hi
         )
 
     @staticmethod

@@ -70,6 +70,29 @@ class TestBackends:
         assert (tmp_path / "cache" / "pair_keys.npy").exists()
         np.testing.assert_array_equal(spilled, big)
 
+    def test_mmap_backend_cache_write_is_all_or_nothing(self, tmp_path, monkeypatch):
+        # A save that dies mid-write must leave no torn sidecar: the
+        # published file stays as it was and no temp file lingers.
+        backend = MmapBackend(tmp_path / "cache")
+        big = np.arange(200_000, dtype=np.int64)
+        backend.cache("pair_keys", big)
+        published = tmp_path / "cache" / "pair_keys.npy"
+        before = published.read_bytes()
+
+        def torn_save(fh, arr, *args, **kwargs):
+            fh.write(b"\x93NUMPY torn")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", torn_save)
+        with pytest.raises(OSError, match="disk full"):
+            backend.cache("pair_keys", big + 1)
+        with pytest.raises(OSError, match="disk full"):
+            backend.cache("rate_desc_topics", big)
+        assert published.read_bytes() == before
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+            "pair_keys.npy"
+        ]
+
     def test_mmap_backend_keeps_small_caches_in_ram(self, tmp_path):
         backend = MmapBackend(tmp_path / "cache")
         small = np.arange(16, dtype=np.int64)

@@ -93,6 +93,30 @@ class TestFromCsr:
                 np.array([3, 3], dtype=np.int64),
             )
 
+    def test_duplicate_message_names_the_first_offending_group(self):
+        # Unsorted groups take the composite-key sort; both later groups
+        # repeat a subscriber, and the message names the first one.
+        with pytest.raises(ValueError, match=r"^duplicate subscribers for topic 2$"):
+            PairSelection.from_csr(
+                np.array([7, 2, 5], dtype=np.int64),
+                np.array([0, 2, 5, 8], dtype=np.int64),
+                np.array([9, 1, 4, 0, 4, 6, 3, 6], dtype=np.int64),
+            )
+
+    def test_duplicate_check_with_sparse_subscriber_ids(self):
+        # Composite keys group * span would overflow int64 here.
+        big = 2**62 + 1
+        topics = np.array([0, 1], dtype=np.int64)
+        indptr = np.array([0, 2, 5], dtype=np.int64)
+        ok = PairSelection.from_csr(
+            topics, indptr, np.array([big, 0, 0, big, 5], dtype=np.int64)
+        )
+        assert ok.num_pairs == 5
+        with pytest.raises(ValueError, match=r"^duplicate subscribers for topic 1$"):
+            PairSelection.from_csr(
+                topics, indptr, np.array([big, 0, big, 0, big], dtype=np.int64)
+            )
+
 
 
 def _shuffled_unique_pairs(seed: int):

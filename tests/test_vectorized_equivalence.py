@@ -264,6 +264,118 @@ class TestSatisfactionEquivalence:
         assert sel == PairSelection({2: [0, 3]})
 
 
+def _bisect_left_ge(values, lo, hi, target):
+    """Per-lane leftmost ``i`` in ``[lo, hi)`` with ``values[i] >= target``."""
+    lo, hi = lo.copy(), hi.copy()
+    if lo.size == 0:
+        return lo
+    size = values.size
+    for _ in range(max(int((hi - lo).max()), 0).bit_length()):
+        mid = (lo + hi) >> 1
+        go_left = (values[np.minimum(mid, size - 1)] >= target) | (lo >= hi)
+        hi = np.where(go_left, mid, hi)
+        lo = np.where(go_left, lo, mid + 1)
+    return lo
+
+
+def segmented_delivered_rates(
+    workload, pair_topics, pair_subscribers, *, assume_unique=False
+):
+    """Copy of the bisection-based ``delivered_rates_from_arrays``.
+
+    Each delivered pair is bisected inside its subscriber's sorted
+    interest window, duplicates collapse by scattering onto the found
+    pair slots, and the bincount runs in slot order (or input order
+    with ``assume_unique``).
+    """
+    n = workload.num_subscribers
+    num_topics = workload.num_topics
+    topics = np.asarray(pair_topics, dtype=np.int64)
+    subs = np.asarray(pair_subscribers, dtype=np.int64)
+    if num_topics == 0 or topics.size == 0 or workload.num_pairs == 0:
+        return np.zeros(n, dtype=np.float64)
+    valid = (topics >= 0) & (topics < num_topics) & (subs >= 0) & (subs < n)
+    if not valid.all():
+        topics, subs = topics[valid], subs[valid]
+    sorted_topics = workload.sorted_interest_topics()
+    indptr = workload.interest_indptr
+    lo = indptr[subs]
+    hi = indptr[subs + 1]
+    slot = _bisect_left_ge(sorted_topics, lo, hi, topics)
+    slot_clipped = np.minimum(slot, sorted_topics.size - 1)
+    member = (slot < hi) & (sorted_topics[slot_clipped] == topics)
+    if assume_unique:
+        hit_subs = subs[member]
+        hit_topics = topics[member]
+    else:
+        seen = np.zeros(sorted_topics.size, dtype=bool)
+        seen[slot_clipped[member]] = True
+        hits = np.flatnonzero(seen)
+        hit_subs = workload.pair_subscribers()[hits]
+        hit_topics = sorted_topics[hits]
+    return np.bincount(
+        hit_subs, weights=workload.event_rates[hit_topics], minlength=n
+    )
+
+
+@st.composite
+def delivery_inputs(draw):
+    """An unsorted-CSR workload with non-integer rates, plus deliveries.
+
+    Interests are drawn in random order (so the sorted view goes
+    through ``pair_keys``) and may be empty; deliveries repeat pairs
+    and reach one id past each end of the valid ranges.  Rates span
+    nine decades, so a changed summation order shows in the bits.
+    """
+    num_topics = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 10))
+    rates = draw(st.lists(
+        st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=num_topics, max_size=num_topics,
+    ))
+    interests = [
+        draw(st.lists(st.integers(0, num_topics - 1), unique=True, max_size=num_topics))
+        for _ in range(n)
+    ]
+    sizes = np.asarray([len(i) for i in interests], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.asarray([t for i in interests for t in i], dtype=np.int64)
+    workload = Workload.from_csr(rates, indptr, flat)
+    m = draw(st.integers(0, 40))
+    topics = draw(st.lists(st.integers(-1, num_topics), min_size=m, max_size=m))
+    subs = draw(st.lists(st.integers(-1, n), min_size=m, max_size=m))
+    block = draw(st.sampled_from([1, 2, 3, 1 << 18]))
+    return workload, np.asarray(topics, np.int64), np.asarray(subs, np.int64), block
+
+
+class TestDeliveredRatesExactness:
+    """The sorted-key membership test == the segmented bisection it replaced.
+
+    Bit for bit, on both dedup modes, across haystack block boundaries
+    (the block constant is shrunk so several blocks run).
+    """
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(delivery_inputs())
+    def test_matches_segmented_search(self, monkeypatch, inputs):
+        from repro.core import satisfaction
+
+        workload, topics, subs, block = inputs
+        monkeypatch.setattr(satisfaction, "_BLOCK_SUBSCRIBERS", block)
+        for unique in (False, True):
+            got = satisfaction.delivered_rates_from_arrays(
+                workload, topics, subs, assume_unique=unique
+            )
+            want = segmented_delivered_rates(
+                workload, topics, subs, assume_unique=unique
+            )
+            assert got.tobytes() == want.tobytes(), f"assume_unique={unique}"
+
+
 def assert_identical_placements(fast, loop, problem):
     """Placement identity: the pinning contract of the packing referees.
 

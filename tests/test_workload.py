@@ -80,6 +80,72 @@ class TestConstruction:
         assert w.subscriber_label(0) == "fan"
 
 
+def _csr(interests):
+    sizes = [len(i) for i in interests]
+    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    flat = np.asarray([t for i in interests for t in i], dtype=np.int64)
+    return indptr, flat
+
+
+class TestCsrValidation:
+    """``from_csr(validate=True)``: the ascending fast path and its fallback."""
+
+    RATES = [1.0] * 10
+
+    def test_unsorted_duplicates_name_the_smallest_subscriber(self):
+        interests = [[3, 1], [2], [], [0, 4], [9, 8, 7], [5, 6, 5],
+                     [1], [4, 0], [2, 3], [8, 1, 8], [7]]
+        with pytest.raises(WorkloadError, match=r"^subscriber 5 has duplicate"):
+            Workload.from_csr(self.RATES, *_csr(interests))
+
+    def test_ascending_but_repeated_topics_rejected(self):
+        interests = [[0, 1], [2, 2, 3], [4]]
+        with pytest.raises(WorkloadError, match=r"^subscriber 1 has duplicate"):
+            Workload.from_csr(self.RATES, *_csr(interests))
+
+    def test_out_of_range_reported_on_unsorted_input(self):
+        interests = [[3, 1], [2, 0], [4, 10, 1], [7, 12]]
+        with pytest.raises(WorkloadError, match=r"^subscriber 2 references"):
+            Workload.from_csr(self.RATES, *_csr(interests))
+        interests = [[3, 1], [-1, 2]]
+        with pytest.raises(WorkloadError, match=r"^subscriber 1 references"):
+            Workload.from_csr(self.RATES, *_csr(interests))
+
+    def test_unsorted_valid_input_accepted(self):
+        interests = [[3, 1, 2], [], [9, 0], [5]]
+        w = Workload.from_csr(self.RATES, *_csr(interests))
+        assert w.num_pairs == 6
+        np.testing.assert_array_equal(w.interest(2), [9, 0])
+
+    @pytest.mark.parametrize("interests", [
+        [[0, 2, 5], [], [1, 9], [3]],      # ascending: sort skipped
+        [[5, 0, 2], [], [9, 1], [3]],      # unsorted: sorted keys
+    ])
+    def test_pair_keys_are_sorted_packed_keys(self, interests):
+        w = Workload.from_csr(self.RATES, *_csr(interests))
+        keys = w.pair_subscribers() * 10 + w.interest_topics
+        np.testing.assert_array_equal(w.pair_keys(), np.sort(keys))
+
+    def test_validation_peak_memory_per_pair(self):
+        # Work counter, no wall time: range check plus ascending check
+        # peak near 5 B per pair; the lexsort they replaced took ~35 B.
+        import tracemalloc
+
+        from repro.workloads import zipf_workload
+
+        w = zipf_workload(20_000, 200_000, 5.0, seed=3)
+        rates = np.array(w.event_rates)
+        indptr = np.array(w.interest_indptr)
+        topics = np.array(w.interest_topics)
+        tracemalloc.start()
+        try:
+            Workload.from_csr(rates, indptr, topics, validate=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * w.num_pairs
+
+
 class TestDerivedViews:
     def test_subscribers_of(self, tiny_workload):
         assert tiny_workload.subscribers_of(0).tolist() == [0, 1]

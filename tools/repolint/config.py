@@ -51,6 +51,8 @@ HOT_PATH_MODULES: "Tuple[str, ...]" = (
     "src/repro/workloads/social.py",
     "src/repro/core/validation.py",
     "src/repro/core/placement.py",
+    "src/repro/core/satisfaction.py",
+    "src/repro/core/workload.py",
 )
 
 #: Seeded generators pinned by RF02: the draw entry points plus the
